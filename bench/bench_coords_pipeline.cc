@@ -224,7 +224,8 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
     unfusedSec += watch.seconds();
   }
 
-  std::vector<PolarCoords> fusedPolar(un);
+  const auto stride = static_cast<std::size_t>(dim);
+  std::vector<double> fusedRows(un * stride);
   std::vector<std::int32_t> fusedRing(un);
   std::vector<std::uint64_t> fusedCell(un);
   const auto runFused = [&](int threads) {
@@ -235,8 +236,8 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
                         kernels::polarClassifyBatch(
                             std::span<const Point>(points).subspan(ulo, len),
                             origin, table,
-                            std::span<PolarCoords>(fusedPolar)
-                                .subspan(ulo, len),
+                            std::span<double>(fusedRows)
+                                .subspan(ulo * stride, len * stride),
                             std::span<std::int32_t>(fusedRing)
                                 .subspan(ulo, len),
                             std::span<std::uint64_t>(fusedCell)
@@ -260,9 +261,16 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
       if (!fast && threads == 1) {
         // Exact mode is contract-bound to the unfused kernels to the bit.
         for (std::size_t i = 0; i < un; ++i) {
-          OMT_CHECK(std::bit_cast<std::uint64_t>(fusedPolar[i].radius) ==
+          const double* row = fusedRows.data() + i * stride;
+          OMT_CHECK(std::bit_cast<std::uint64_t>(row[0]) ==
                         std::bit_cast<std::uint64_t>(basePolar[i].radius),
                     "fused polar radius diverged from unfused");
+          for (int j = 0; j < dim - 1; ++j) {
+            OMT_CHECK(std::bit_cast<std::uint64_t>(row[j + 1]) ==
+                          std::bit_cast<std::uint64_t>(
+                              basePolar[i].cube[static_cast<std::size_t>(j)]),
+                      "fused polar cube coordinate diverged from unfused");
+          }
           OMT_CHECK(fusedRing[i] == baseRing[i] &&
                         fusedCell[i] == baseCell[i],
                     "fused classification diverged from unfused");

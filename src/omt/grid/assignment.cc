@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "omt/common/error.h"
 #include "omt/kernels/kernels.h"
@@ -147,7 +148,11 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   ScratchArena::Scope arenaScope(arena);
   const auto un = static_cast<std::size_t>(n);
 
-  std::vector<PolarCoords> polar(points.size());
+  // Packed polar rows (stride d), deliberately not value-initialised: both
+  // the fused and the scalar pass below write every row, so the first touch
+  // of these pages happens on the parallel workers, not in a serial fill.
+  const auto ud = static_cast<std::size_t>(d);
+  auto polar = std::make_unique_for_overwrite<double[]>(un * ud);
   std::vector<double> slotMax(slots, 0.0);
   double maxRadius = 0.0;
   double outerRadius = 0.0;
@@ -182,8 +187,11 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
                           const auto idx = static_cast<std::size_t>(i);
                           OMT_CHECK(points[idx].dim() == d,
                                     "mixed dimensions in point set");
-                          polar[idx] = toPolar(points[idx], origin);
-                          localMax = std::max(localMax, polar[idx].radius);
+                          const PolarCoords p = toPolar(points[idx], origin);
+                          double* row = polar.get() + idx * ud;
+                          row[0] = p.radius;
+                          std::copy_n(p.cube.begin(), d - 1, row + 1);
+                          localMax = std::max(localMax, p.radius);
                         }
                         slotMax[static_cast<std::size_t>(slot)] = localMax;
                       });
@@ -227,7 +235,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
           const auto len = static_cast<std::size_t>(hi - lo);
           const double chunkMax = kernels::polarClassifyBatch(
               points.subspan(ulo, len), origin, table,
-              std::span<PolarCoords>(polar).subspan(ulo, len),
+              std::span<double>(polar.get() + ulo * ud, len * ud),
               ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
           auto& localMax = slotMax[static_cast<std::size_t>(slot)];
           localMax = std::max(localMax, chunkMax);
@@ -260,9 +268,10 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
     std::memset(occMax.data(), 0, occMax.size());
     parallelFor(0, n, workers, [&](std::int64_t i) {
       const auto idx = static_cast<std::size_t>(i);
-      const int ring = gridMax.ringOf(std::min(polar[idx].radius, outerRadius));
+      const PolarCoords p = unpackPolarRow(polar.get() + idx * ud, d);
+      const int ring = gridMax.ringOf(std::min(p.radius, outerRadius));
       ringMax[idx] = ring;
-      cellMax[idx] = gridMax.cellOf(polar[idx], ring);
+      cellMax[idx] = gridMax.cellOf(p, ring);
       std::atomic_ref<std::uint8_t>(
           occMax[static_cast<std::size_t>(gridMax.heapId(ring, cellMax[idx]))])
           .store(1, std::memory_order_relaxed);
@@ -280,7 +289,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   GridAssignment out{.grid = PolarGrid(d, chosen, outerRadius),
                      .ringOfPoint = {},
                      .cellOfPoint = {},
-                     .polarOfPoint = {},
+                     .polarRows = {},
                      .cellStart = {},
                      .cellMembers = {},
                      .occupiedCellCount = -1};
@@ -374,7 +383,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
         }
       });
 
-  out.polarOfPoint = std::move(polar);
+  out.polarRows = std::move(polar);
   return out;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -28,6 +29,17 @@
 
 namespace omt {
 
+/// The PolarCoords a packed polar row of dimension d holds (`row` points
+/// at its d doubles: the radius, then the d - 1 cube coordinates).
+inline PolarCoords unpackPolarRow(const double* row, int d) {
+  PolarCoords polar;
+  polar.radius = row[0];
+  polar.dim = d;
+  for (int j = 0; j < d - 1; ++j)
+    polar.cube[static_cast<std::size_t>(j)] = row[j + 1];
+  return polar;
+}
+
 struct GridAssignment {
   PolarGrid grid;  ///< chosen grid (k maximal, outer radius = max distance)
 
@@ -37,10 +49,14 @@ struct GridAssignment {
   std::vector<std::uint64_t> cellOfPoint;
 
   /// Per-point polar coordinates about the source — the expensive part of
-  /// classification (incomplete sin^k integral inversions in 3D), exposed
-  /// so downstream stages (tree wiring, bisection) never convert twice.
-  /// polarOfPoint[i].radius equals distance(points[i], origin) exactly.
-  std::vector<PolarCoords> polarOfPoint;
+  /// classification (incomplete sin^k integral inversions in 3D), kept so
+  /// downstream stages (tree wiring, bisection) never convert twice.
+  /// Packed rows of d = grid.dim() doubles: row i is polarRows[i*d ..
+  /// (i+1)*d), the radius followed by the d - 1 angular-cube coordinates.
+  /// Allocated without value-initialisation: the parallel polar pass writes
+  /// every row, so it is also the first touch of the memory. Read it
+  /// through radiusOf / polarOf / polarData.
+  std::unique_ptr<double[]> polarRows;
 
   /// CSR of point indices grouped by cell heap id:
   /// members of heap id h are cellMembers[cellStart[h] .. cellStart[h+1]),
@@ -56,6 +72,28 @@ struct GridAssignment {
     const auto begin = cellStart[static_cast<std::size_t>(heapId)];
     const auto end = cellStart[static_cast<std::size_t>(heapId) + 1];
     return {cellMembers.data() + begin, static_cast<std::size_t>(end - begin)};
+  }
+
+  /// Radius of point i about the source; equals distance(points[i], origin)
+  /// exactly.
+  double radiusOf(NodeId i) const {
+    return polarRows[static_cast<std::size_t>(i) *
+                     static_cast<std::size_t>(grid.dim())];
+  }
+
+  /// Point i's row as PolarCoords: bitwise equal to toPolar(points[i],
+  /// origin), including dim and the zeroed unused cube axes.
+  PolarCoords polarOf(NodeId i) const {
+    const int d = grid.dim();
+    return unpackPolarRow(polarRows.get() + static_cast<std::size_t>(i) *
+                                                static_cast<std::size_t>(d),
+                          d);
+  }
+
+  /// All packed rows: n * d doubles.
+  std::span<const double> polarData() const {
+    return {polarRows.get(),
+            ringOfPoint.size() * static_cast<std::size_t>(grid.dim())};
   }
 
   /// Number of cells (over all rings, including the outermost) that contain

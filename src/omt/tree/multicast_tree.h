@@ -59,9 +59,11 @@ class MulticastTree {
     return outDegree_[static_cast<std::size_t>(node)];
   }
 
-  /// Build the CSR child adjacency; requires every node attached. Safe to
-  /// call again after further attaches (rebuilds).
-  void finalize();
+  /// Build the CSR child adjacency and the BFS order; requires every node
+  /// attached. Safe to call again after further attaches (rebuilds). Up to
+  /// `workers` tasks of the shared pool split the work; the children and
+  /// the BFS order are identical for every worker count.
+  void finalize(int workers = 1);
 
   bool finalized() const { return finalized_; }
 

@@ -271,13 +271,15 @@ TEST(AssignmentTest, PolarOfPointMatchesToPolar) {
   Rng rng(54);
   const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
   const GridAssignment a = assignToGrid(points, 0);
-  ASSERT_EQ(a.polarOfPoint.size(), points.size());
+  ASSERT_EQ(a.polarData().size(), 2 * points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PolarCoords want = toPolar(points[i], points[0]);
-    EXPECT_EQ(a.polarOfPoint[i].radius, want.radius);
-    EXPECT_EQ(a.polarOfPoint[i].dim, want.dim);
-    for (int c = 0; c < want.cubeAxes(); ++c)
-      EXPECT_EQ(a.polarOfPoint[i].cube[static_cast<std::size_t>(c)],
+    const PolarCoords got = a.polarOf(static_cast<NodeId>(i));
+    EXPECT_EQ(a.radiusOf(static_cast<NodeId>(i)), want.radius);
+    EXPECT_EQ(got.radius, want.radius);
+    EXPECT_EQ(got.dim, want.dim);
+    for (int c = 0; c < kMaxDim - 1; ++c)
+      EXPECT_EQ(got.cube[static_cast<std::size_t>(c)],
                 want.cube[static_cast<std::size_t>(c)]);
   }
 }

@@ -299,15 +299,52 @@ TEST(KernelsAssignmentTest, AssignToGridIdenticalWithKernelsOnAndOff) {
     ASSERT_EQ(on.cellOfPoint, off.cellOfPoint) << "d=" << d;
     ASSERT_EQ(on.cellStart, off.cellStart) << "d=" << d;
     ASSERT_EQ(on.cellMembers, off.cellMembers) << "d=" << d;
-    ASSERT_EQ(on.polarOfPoint.size(), off.polarOfPoint.size());
-    for (std::size_t i = 0; i < on.polarOfPoint.size(); ++i) {
-      ASSERT_EQ(bits(on.polarOfPoint[i].radius),
-                bits(off.polarOfPoint[i].radius))
+    ASSERT_EQ(on.polarData().size(), off.polarData().size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto node = static_cast<NodeId>(i);
+      const PolarCoords a = on.polarOf(node);
+      const PolarCoords b = off.polarOf(node);
+      ASSERT_EQ(bits(on.radiusOf(node)), bits(off.radiusOf(node)))
           << "d=" << d << " i=" << i;
-      for (int j = 0; j < d - 1; ++j)
-        ASSERT_EQ(bits(on.polarOfPoint[i].cube[static_cast<std::size_t>(j)]),
-                  bits(off.polarOfPoint[i].cube[static_cast<std::size_t>(j)]))
+      ASSERT_EQ(bits(a.radius), bits(b.radius)) << "d=" << d << " i=" << i;
+      ASSERT_EQ(a.dim, b.dim) << "d=" << d << " i=" << i;
+      for (int j = 0; j < kMaxDim - 1; ++j)
+        ASSERT_EQ(bits(a.cube[static_cast<std::size_t>(j)]),
+                  bits(b.cube[static_cast<std::size_t>(j)]))
             << "d=" << d << " i=" << i << " axis=" << j;
+    }
+  }
+}
+
+TEST(KernelsAssignmentTest, PackedPolarRowsEqualToPolarBitwise) {
+  // d = 5 reaches the tabled sin^k inversions (k = 2, 3).
+  for (const int d : {2, 3, 5}) {
+    Rng rng(0x5eed0500 + static_cast<std::uint64_t>(d));
+    const std::vector<Point> points = sampleDiskWithCenterSource(rng, 2000, d);
+    for (const bool kernelsOn : {true, false}) {
+      KernelToggle toggle(kernelsOn);
+      const GridAssignment a = assignToGrid(points, 0, {.workers = 4});
+      const std::span<const double> rows = a.polarData();
+      ASSERT_EQ(rows.size(), points.size() * static_cast<std::size_t>(d));
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const PolarCoords want = toPolar(points[i], points[0]);
+        const std::span<const double> row =
+            rows.subspan(i * static_cast<std::size_t>(d),
+                         static_cast<std::size_t>(d));
+        ASSERT_EQ(bits(row[0]), bits(want.radius))
+            << "d=" << d << " i=" << i << " kernels=" << kernelsOn;
+        for (int j = 0; j < d - 1; ++j)
+          ASSERT_EQ(bits(row[static_cast<std::size_t>(j) + 1]),
+                    bits(want.cube[static_cast<std::size_t>(j)]))
+              << "d=" << d << " i=" << i << " axis=" << j
+              << " kernels=" << kernelsOn;
+        const PolarCoords got = a.polarOf(static_cast<NodeId>(i));
+        ASSERT_EQ(got.dim, want.dim);
+        for (int j = 0; j < kMaxDim - 1; ++j)
+          ASSERT_EQ(bits(got.cube[static_cast<std::size_t>(j)]),
+                    bits(want.cube[static_cast<std::size_t>(j)]))
+              << "d=" << d << " i=" << i << " axis=" << j;
+      }
     }
   }
 }
