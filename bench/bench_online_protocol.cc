@@ -3,7 +3,7 @@
 // membership. Shape to check: the online radius stays within a small
 // factor of the offline rebuild across growth and churn, with amortised
 // O(1)-ish contacts per join and log-many structural moves (incremental
-// ring splits/merges/extends in the default mode; full regrids in legacy).
+// ring splits/merges/extends; no full regrids).
 #include "common.h"
 #include "omt/protocol/overlay_session.h"
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   std::cout << table.str();
   std::cout << "\nShape check: Ratio stays within a small constant across "
                "growth and churn; Splits grows logarithmically (Regrids "
-               "stays 0 in incremental mode); Contacts/op stays small and "
+               "stays 0); Contacts/op stays small and "
                "flat.\n";
   return 0;
 }

@@ -28,7 +28,7 @@ namespace omt {
 
 struct SteadyChurnOptions {
   int dim = 2;
-  SessionOptions session;  ///< incremental mode is the default
+  SessionOptions session;
   WatchdogOptions watchdog;
   /// Quality yardstick handed to the watchdog (see
   /// RadiusWatchdog::setBaselineRatio); 0 keeps the absolute alarm floor.

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "omt/common/error.h"
-#include "omt/kernels/kernels.h"
 #include "omt/kernels/polar_batch.h"
 #include "omt/obs/metrics.h"
 #include "omt/obs/trace.h"
@@ -139,7 +138,9 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   gridMetrics().points.add(n);
 
   const Point& origin = points[static_cast<std::size_t>(source)];
-  const bool useKernels = kernels::enabled();
+  // Per-cell member counts are int32: a count is at most n.
+  OMT_CHECK(n <= std::numeric_limits<std::int32_t>::max(),
+            "assignToGrid supports at most 2^31 - 1 points");
 
   // Build-lifetime scratch: classification intermediates come from the
   // caller thread's arena, so repeated builds stop reallocating them
@@ -148,135 +149,95 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   ScratchArena::Scope arenaScope(arena);
   const auto un = static_cast<std::size_t>(n);
 
-  // Packed polar rows (stride d), deliberately not value-initialised: both
-  // the fused and the scalar pass below write every row, so the first touch
-  // of these pages happens on the parallel workers, not in a serial fill.
+  // Packed polar rows (stride d), deliberately not value-initialised: the
+  // fused pass below writes every row, so the first touch of these pages
+  // happens on the parallel workers, not in a serial fill.
   const auto ud = static_cast<std::size_t>(d);
   auto polar = std::make_unique_for_overwrite<double[]>(un * ud);
   std::vector<double> slotMax(slots, 0.0);
   double maxRadius = 0.0;
   double outerRadius = 0.0;
 
-  // Outer radius R. The fused kernel path classifies during the polar walk,
-  // which needs the ring radii — so when R is not supplied it runs a
-  // radius-only prepass (one max reduction, no stores) instead of spilling
-  // full polar lanes. The scalar path keeps its legacy shape: full polar
-  // pass first, R from its max.
+  // Outer radius R. The fused pass classifies during the polar walk, which
+  // needs the ring radii — so when R is not supplied a radius-only prepass
+  // (one max reduction, no stores) finds it instead of spilling full polar
+  // lanes.
   obs::TraceSpan polarSpan("polar_pass", "grid", span.id());
-  if (useKernels) {
-    if (options.outerRadius.has_value()) {
-      outerRadius = *options.outerRadius;
-    } else {
-      parallelForChunks(
-          0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
-            const double chunkMax = kernels::radiusMaxBatch(
-                points.subspan(static_cast<std::size_t>(lo),
-                               static_cast<std::size_t>(hi - lo)),
-                origin);
-            auto& localMax = slotMax[static_cast<std::size_t>(slot)];
-            localMax = std::max(localMax, chunkMax);
-          });
-      for (const double m : slotMax) outerRadius = std::max(outerRadius, m);
-      std::fill(slotMax.begin(), slotMax.end(), 0.0);
-    }
+  if (options.outerRadius.has_value()) {
+    outerRadius = *options.outerRadius;
   } else {
-    parallelForChunks(0, n, workers,
-                      [&](std::int64_t lo, std::int64_t hi, int slot) {
-                        double localMax = slotMax[static_cast<std::size_t>(slot)];
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          const auto idx = static_cast<std::size_t>(i);
-                          OMT_CHECK(points[idx].dim() == d,
-                                    "mixed dimensions in point set");
-                          const PolarCoords p = toPolar(points[idx], origin);
-                          double* row = polar.get() + idx * ud;
-                          row[0] = p.radius;
-                          std::copy_n(p.cube.begin(), d - 1, row + 1);
-                          localMax = std::max(localMax, p.radius);
-                        }
-                        slotMax[static_cast<std::size_t>(slot)] = localMax;
-                      });
-    for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
-    outerRadius = options.outerRadius.value_or(maxRadius);
+    parallelForChunks(
+        0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
+          const double chunkMax = kernels::radiusMaxBatch(
+              points.subspan(static_cast<std::size_t>(lo),
+                             static_cast<std::size_t>(hi - lo)),
+              origin);
+          auto& localMax = slotMax[static_cast<std::size_t>(slot)];
+          localMax = std::max(localMax, chunkMax);
+        });
+    for (const double m : slotMax) outerRadius = std::max(outerRadius, m);
+    std::fill(slotMax.begin(), slotMax.end(), 0.0);
   }
   if (outerRadius <= 0.0) outerRadius = 1.0;  // all points at the source
   polarSpan.end();
 
-  // Classify every point at the largest candidate k. The fused kernel path
-  // does polar conversion, ring/cell classification, and per-cell counting
-  // in ONE walk over the points (cache-resident blocks inside
-  // polarClassifyBatch; the count array replaces the old occupancy bitmap
-  // AND the later CSR counting pass — integer sums are order-independent,
-  // so relaxed atomics keep the result identical for any worker count).
+  // Classify every point at the largest candidate k. The fused pass does
+  // polar conversion, ring/cell classification, and per-cell counting in
+  // ONE walk over the points (cache-resident blocks inside
+  // polarClassifyBatch; the count array serves both ring selection and the
+  // CSR bounds — integer sums are order-independent, so relaxed atomics
+  // keep the result identical for any worker count).
   const int kMax = candidateRings(n, options.maxRings);
   const PolarGrid gridMax(d, kMax, outerRadius);
   const std::size_t heapIdsMax = gridMax.heapIdCount();
   std::span<std::int32_t> ringMax = arena.alloc<std::int32_t>(un);
   std::span<std::uint64_t> cellMax = arena.alloc<std::uint64_t>(un);
   std::span<std::uint8_t> occMax = arena.alloc<std::uint8_t>(heapIdsMax);
-  std::span<std::int32_t> countMax;
+  std::span<std::int32_t> countMax = arena.alloc<std::int32_t>(heapIdsMax);
   obs::TraceSpan classifySpan("classification", "grid", span.id());
-  if (useKernels) {
-    // Per-cell member counts fit int32: a count is at most n, and a point
-    // set anywhere near 2^31 points could not have been materialised.
-    OMT_CHECK(n <= std::numeric_limits<std::int32_t>::max(),
-              "fused kernel path supports at most 2^31 - 1 points");
-    countMax = arena.alloc<std::int32_t>(heapIdsMax);
-    std::memset(countMax.data(), 0, countMax.size() * sizeof(std::int32_t));
-    std::array<double, PolarGrid::kMaxRings + 1> radii{};
-    for (int i = 0; i <= kMax; ++i)
-      radii[static_cast<std::size_t>(i)] = gridMax.ringRadius(i);
-    const std::span<const double> radiiSpan(
-        radii.data(), static_cast<std::size_t>(kMax) + 1);
-    parallelForChunks(
-        0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
-          const kernels::ClassifyTable& table =
-              workerClassifyTable(d, kMax, outerRadius, radiiSpan);
-          const auto ulo = static_cast<std::size_t>(lo);
-          const auto len = static_cast<std::size_t>(hi - lo);
-          const double chunkMax = kernels::polarClassifyBatch(
-              points.subspan(ulo, len), origin, table,
-              std::span<double>(polar.get() + ulo * ud, len * ud),
-              ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
-          auto& localMax = slotMax[static_cast<std::size_t>(slot)];
-          localMax = std::max(localMax, chunkMax);
-          for (std::size_t i = ulo; i < ulo + len; ++i) {
-            // The heap id is two cheap integer ops, so recompute it for the
-            // lookahead and prefetch the count entry — the only random
-            // access in this loop.
-            if (i + 16 < ulo + len) {
-              __builtin_prefetch(
-                  &countMax[static_cast<std::size_t>(
-                      gridMax.heapId(ringMax[i + 16], cellMax[i + 16]))],
-                  1);
-            }
-            const std::uint64_t h = gridMax.heapId(ringMax[i], cellMax[i]);
-            std::atomic_ref<std::int32_t>(countMax[static_cast<std::size_t>(h)])
-                .fetch_add(1, std::memory_order_relaxed);
+  std::memset(countMax.data(), 0, countMax.size() * sizeof(std::int32_t));
+  std::array<double, PolarGrid::kMaxRings + 1> radii{};
+  for (int i = 0; i <= kMax; ++i)
+    radii[static_cast<std::size_t>(i)] = gridMax.ringRadius(i);
+  const std::span<const double> radiiSpan(radii.data(),
+                                          static_cast<std::size_t>(kMax) + 1);
+  parallelForChunks(
+      0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
+        const kernels::ClassifyTable& table =
+            workerClassifyTable(d, kMax, outerRadius, radiiSpan);
+        const auto ulo = static_cast<std::size_t>(lo);
+        const auto len = static_cast<std::size_t>(hi - lo);
+        const double chunkMax = kernels::polarClassifyBatch(
+            points.subspan(ulo, len), origin, table,
+            std::span<double>(polar.get() + ulo * ud, len * ud),
+            ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
+        auto& localMax = slotMax[static_cast<std::size_t>(slot)];
+        localMax = std::max(localMax, chunkMax);
+        for (std::size_t i = ulo; i < ulo + len; ++i) {
+          // The heap id is two cheap integer ops, so recompute it for the
+          // lookahead and prefetch the count entry — the only random
+          // access in this loop.
+          if (i + 16 < ulo + len) {
+            __builtin_prefetch(
+                &countMax[static_cast<std::size_t>(
+                    gridMax.heapId(ringMax[i + 16], cellMax[i + 16]))],
+                1);
           }
-        });
-    for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
-    // Occupancy for ring selection, derived from the counts (selectRings
-    // folds its input destructively, so it gets its own byte array).
-    parallelForChunks(0, static_cast<std::int64_t>(heapIdsMax), workers,
-                      [&](std::int64_t lo, std::int64_t hi, int) {
-                        for (std::int64_t h = lo; h < hi; ++h) {
-                          const auto hs = static_cast<std::size_t>(h);
-                          occMax[hs] = countMax[hs] != 0 ? 1 : 0;
-                        }
-                      });
-  } else {
-    std::memset(occMax.data(), 0, occMax.size());
-    parallelFor(0, n, workers, [&](std::int64_t i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const PolarCoords p = unpackPolarRow(polar.get() + idx * ud, d);
-      const int ring = gridMax.ringOf(std::min(p.radius, outerRadius));
-      ringMax[idx] = ring;
-      cellMax[idx] = gridMax.cellOf(p, ring);
-      std::atomic_ref<std::uint8_t>(
-          occMax[static_cast<std::size_t>(gridMax.heapId(ring, cellMax[idx]))])
-          .store(1, std::memory_order_relaxed);
-    });
-  }
+          const std::uint64_t h = gridMax.heapId(ringMax[i], cellMax[i]);
+          std::atomic_ref<std::int32_t>(countMax[static_cast<std::size_t>(h)])
+              .fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+  for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
+  // Occupancy for ring selection, derived from the counts (selectRings
+  // folds its input destructively, so it gets its own byte array).
+  parallelForChunks(0, static_cast<std::int64_t>(heapIdsMax), workers,
+                    [&](std::int64_t lo, std::int64_t hi, int) {
+                      for (std::int64_t h = lo; h < hi; ++h) {
+                        const auto hs = static_cast<std::size_t>(h);
+                        occMax[hs] = countMax[hs] != 0 ? 1 : 0;
+                      }
+                    });
   OMT_CHECK(maxRadius <= outerRadius * (1.0 + 1e-9),
             "a point lies outside the requested outer radius");
 
@@ -296,44 +257,32 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   out.ringOfPoint.resize(points.size());
   out.cellOfPoint.resize(points.size());
 
-  // Counting sort into the CSR. The kernel path already holds per-cell
-  // counts at kMax, and a chosen-k cell's members are exactly the points in
-  // its depth-delta descendant block at kMax — so the chosen counts fall
-  // out of delta levels of the same bottom-up heap fold selectRings uses
+  // Counting sort into the CSR. The per-cell counts at kMax are already
+  // known, and a chosen-k cell's members are exactly the points in its
+  // depth-delta descendant block at kMax — so the chosen counts fall out of
+  // delta levels of the same bottom-up heap fold selectRings uses
   // (ascending h reads children 2h, 2h+1 before overwriting them; integer
-  // sums, so the result equals the per-point count to the bit). The fold
+  // sums, so the result equals a per-point count to the bit). The fold
   // overwrites the sub-delta rings' own counts on its way up, so the ring-0
   // total (kMax-rings 0..delta collapse into chosen ring 0) is recovered by
-  // subtraction from n. The scalar path keeps the per-point counting pass.
+  // subtraction from n.
   const obs::TraceSpan csrSpan("csr_build", "grid", span.id());
   const std::size_t heapIds = out.grid.heapIdCount();
   out.cellStart.assign(heapIds + 1, 0);
-  if (useKernels) {
-    for (int lvl = 0; lvl < delta; ++lvl) {
-      const std::uint64_t next = std::uint64_t{1} << (kMax - lvl);
-      for (std::uint64_t h = 1; h < next; ++h) {
-        countMax[static_cast<std::size_t>(h)] =
-            countMax[static_cast<std::size_t>(2 * h)] +
-            countMax[static_cast<std::size_t>(2 * h + 1)];
-      }
+  for (int lvl = 0; lvl < delta; ++lvl) {
+    const std::uint64_t next = std::uint64_t{1} << (kMax - lvl);
+    for (std::uint64_t h = 1; h < next; ++h) {
+      countMax[static_cast<std::size_t>(h)] =
+          countMax[static_cast<std::size_t>(2 * h)] +
+          countMax[static_cast<std::size_t>(2 * h + 1)];
     }
-    std::int64_t outerTotal = 0;
-    for (std::size_t h = 2; h < heapIds; ++h) {
-      out.cellStart[h + 1] = countMax[h];
-      outerTotal += countMax[h];
-    }
-    out.cellStart[2] = n - outerTotal;  // ring 0 lives at heap id 1
-  } else {
-    parallelFor(0, n, workers, [&](std::int64_t i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const int ring = std::max(0, ringMax[idx] - delta);
-      const std::uint64_t cell = ring == 0 ? 0 : (cellMax[idx] >> delta);
-      const std::uint64_t h = out.grid.heapId(ring, cell);
-      std::atomic_ref<std::int64_t>(
-          out.cellStart[static_cast<std::size_t>(h) + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
   }
+  std::int64_t outerTotal = 0;
+  for (std::size_t h = 2; h < heapIds; ++h) {
+    out.cellStart[h + 1] = countMax[h];
+    outerTotal += countMax[h];
+  }
+  out.cellStart[2] = n - outerTotal;  // ring 0 lives at heap id 1
   std::int64_t occupied = 0;
   for (std::size_t h = 0; h < heapIds; ++h) {
     if (out.cellStart[h + 1] > 0) ++occupied;

@@ -117,9 +117,10 @@ struct AssignmentOptions {
 };
 
 /// Assign `points` to the maximal-k grid centered at points[source].
-/// Requires n >= 1, all points of equal dimension >= 2, and every point
-/// within the outer radius. Degenerate sets (all points at the source)
-/// yield a k = 1 grid with everything in ring 0.
+/// Requires 1 <= n <= 2^31 - 1 (per-cell member counts are int32), all
+/// points of equal dimension >= 2, and every point within the outer radius.
+/// Degenerate sets (all points at the source) yield a k = 1 grid with
+/// everything in ring 0.
 GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
                             const AssignmentOptions& options = {});
 

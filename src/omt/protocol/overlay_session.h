@@ -5,14 +5,12 @@
 // rebuilding from scratch:
 //  * The grid frame is fixed by the source position; the ring count k
 //    tracks the live membership (k ~ log2 n) and the outer radius grows
-//    geometrically when a joiner lands outside. In incremental mode (the
-//    default) both are handled by cell-local moves — splitRings() /
-//    mergeRings() relabel cells in place and extendRadius() appends outer
-//    shells without moving a single host — and a full *regrid* survives
-//    only as the watchdog's last-resort escalation. With
-//    SessionOptions::incremental = false both instead trigger a regrid,
-//    amortised O(log n) times over a session (the pre-incremental
-//    behaviour, kept for A/B comparison).
+//    geometrically when a joiner lands outside. Both are handled by
+//    cell-local moves — splitRings() / mergeRings() relabel cells in place
+//    and extendRadius() appends outer shells without moving a single host.
+//    A full *regrid* survives only as the fallback when an extend is
+//    refused (a joiner too far out for the ring-slack memory guard) and as
+//    the watchdog's last-resort escalation (forceRegrid()).
 //  * A joiner computes its own (ring, cell). If the cell is empty it
 //    becomes the cell representative and attaches toward the representative
 //    of the nearest occupied *ancestor* cell (parent cell c/2 in ring i-1,
@@ -43,21 +41,12 @@ namespace omt {
 
 struct SessionOptions {
   int maxOutDegree = 6;          ///< per-host fan-out budget, >= 2
-  /// Regrid when the live count leaves [lastRegridCount / factor,
-  /// lastRegridCount * factor].
-  double regridGrowthFactor = 2.0;
-  /// Initial outer radius of the grid frame; grows (with a regrid) when a
-  /// joiner lands outside.
+  /// Initial outer radius of the grid frame; grows by extendRadius() (or,
+  /// past the maxRingSlack guard, a regrid) when a joiner lands outside.
   double initialRadius = 1.0;
-  /// Maintain the grid incrementally: ring-count changes become cell-local
-  /// split/merge relabellings and radius growth becomes an O(1) extend, so
-  /// a full regrid is demoted from routine maintenance to the watchdog's
-  /// last-resort escalation. `false` restores the regrid-on-every-drift
-  /// behaviour of earlier revisions (kept for A/B benchmarking).
-  bool incremental = true;
-  /// Memory guard for incremental mode: heap ids address 2^(rings+1) cell
-  /// slots, so an extend that would leave the ring count more than this
-  /// many rings above the online target falls back to a full regrid.
+  /// Memory guard: heap ids address 2^(rings+1) cell slots, so an extend
+  /// that would leave the ring count more than this many rings above the
+  /// online target falls back to a full regrid.
   int maxRingSlack = 10;
 };
 
@@ -66,10 +55,10 @@ struct SessionStats {
   std::int64_t leaves = 0;
   std::int64_t crashes = 0;
   std::int64_t regrids = 0;
-  /// Incremental structural moves (incremental mode only): ring splits
-  /// (k -> k+1, cell-local relabel), merges (k -> k-1, sibling coalesce),
-  /// radius extends (outer shells appended, no host moves), and
-  /// watchdog-scoped rebuilds of individual violating cells.
+  /// Incremental structural moves: ring splits (k -> k+1, cell-local
+  /// relabel), merges (k -> k-1, sibling coalesce), radius extends (outer
+  /// shells appended, no host moves), and watchdog-scoped rebuilds of
+  /// individual violating cells.
   std::int64_t splits = 0;
   std::int64_t merges = 0;
   std::int64_t extends = 0;
@@ -115,9 +104,9 @@ class OverlaySession {
   OverlaySession(const Point& sourcePosition, const SessionOptions& options);
 
   /// Add a host; returns its permanent session id. O(cell size + rings)
-  /// contacts expected; may trigger a regrid. Equivalent to admit()
-  /// followed immediately by attachParked() — the atomic path used when no
-  /// message loss can interrupt the handshake.
+  /// contacts expected; regrids only for a joiner too far out to extend
+  /// to. Equivalent to admit() followed immediately by attachParked() —
+  /// the atomic path used when no message loss can interrupt the handshake.
   NodeId join(const Point& position);
 
   // --- Decomposed (message-level) operations -------------------------------
@@ -135,8 +124,8 @@ class OverlaySession {
   NodeId admit(const Point& position);
 
   /// Complete a parked host's attachment: fresh admits go through the join
-  /// placement path (and may trigger a regrid); re-parked orphans re-home
-  /// backup-first like crash repair.
+  /// placement path (and may split, extend or regrid); re-parked orphans
+  /// re-home backup-first like crash repair.
   void attachParked(NodeId node);
 
   /// Park a live, currently-attached non-source host: detach it (children
@@ -158,7 +147,7 @@ class OverlaySession {
   void leaveSilently(NodeId node) { crash(node); }
 
   /// Remove a live non-source host; its children are re-attached. May
-  /// trigger a regrid when the membership shrinks enough.
+  /// merge rings when the membership shrinks enough.
   void leave(NodeId node);
 
   /// Crash a live non-source host SILENTLY: unlike leave(), nothing is
@@ -203,13 +192,12 @@ class OverlaySession {
            hosts_[static_cast<std::size_t>(node)].parked;
   }
 
-  /// Shrink-triggered regrid check; exposed so a driver completing a
-  /// decomposed repair can apply the same membership-halved rule as
-  /// leave()/repairCrashed(). In incremental mode this merges rings
-  /// (with a full-doubling hysteresis) instead of regridding.
+  /// Shrink check; exposed so a driver completing a decomposed repair can
+  /// apply the same membership-halved rule as leave()/repairCrashed(): it
+  /// merges rings (with a full-doubling hysteresis), never regrids.
   void maybeShrinkRegrid();
 
-  // --- Incremental grid maintenance (incremental mode) ---------------------
+  // --- Incremental grid maintenance ----------------------------------------
   // Cell-local structural moves replacing the full regrid. All three keep
   // every invariant (degree caps, acyclicity, cell-membership consistency)
   // at every intermediate step; none of them touches pending crashes or
@@ -374,11 +362,12 @@ class OverlaySession {
   void promoteRepresentative(std::uint64_t heapId);
 
   /// Rebuild the grid for the current membership (new k / new radius) and
-  /// re-place every host. The only global operation.
+  /// re-place every host. The only global operation: the fallback for a
+  /// refused extendRadius() and the body of forceRegrid().
   void regrid(double newRadius);
 
-  /// Split until the ring count reaches the online target (incremental
-  /// growth path; no-op in non-incremental mode).
+  /// Split until the ring count reaches the online target (the growth
+  /// path of every join).
   void growRingsToTarget();
 
   /// Detach + re-place one attached live host (its subtree rides along,
@@ -396,7 +385,6 @@ class OverlaySession {
   std::vector<std::vector<NodeId>> cellMembers_;  // by heap id
   std::vector<NodeId> cellRep_;                   // by heap id
   std::int64_t liveCount_ = 1;
-  std::int64_t lastRegridCount_ = 1;
   std::int64_t undetectedCrashes_ = 0;
   std::int64_t parkedCount_ = 0;
   bool shedOptionalWork_ = false;

@@ -50,7 +50,7 @@
 namespace omt {
 
 struct ServiceOptions {
-  /// Per-group overlay options (incremental maintenance is the default).
+  /// Per-group overlay options.
   SessionOptions session;
   /// Builder shards; groups are owned by shard group % shards. 0 resolves
   /// like every other worker count (OMT_THREADS, then hardware).

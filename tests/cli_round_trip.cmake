@@ -23,3 +23,15 @@ set(script ${WORKDIR}/cli_service_script.txt)
 run(${OMTCLI} serve --groups 40 --hosts 800 --events 8000 --seed 11
     --shards 2 --save-script ${script})
 run(${OMTCLI} serve --script ${script} --shards 1 --rpc 1)
+
+# A flag the subcommand does not read (a typo, or a removed option) must be
+# rejected before the command does any work: non-zero exit, the flag named
+# on stderr, nothing on stdout.
+foreach(bad incremntal incremental)
+  execute_process(COMMAND ${OMTCLI} churn --events 2000 --${bad} 0
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(code EQUAL 0 OR NOT err MATCHES "--${bad}" OR NOT out STREQUAL "")
+    message(FATAL_ERROR "omtcli churn accepted --${bad} (exit ${code}): "
+      "stdout='${out}' stderr='${err}'")
+  endif()
+endforeach()

@@ -57,37 +57,61 @@ TEST(AssignmentTest, ChosenKIsMaximal) {
 }
 
 TEST(AssignmentTest, CsrPartitionsAllPoints) {
-  Rng rng(43);
-  const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
-  const GridAssignment a = assignToGrid(points, 0);
+  // Every point sits in exactly the cell its (ring, cell) names, and each
+  // cell lists its members in increasing point index: together with the
+  // exact (ring, cell) check below, that pins the CSR completely.
+  for (const int d : {2, 3, 4, 6}) {
+    Rng rng(43 + static_cast<std::uint64_t>(d));
+    const auto points = sampleDiskWithCenterSource(rng, 3000, d);
+    for (const int workers : {1, 4}) {
+      const GridAssignment a = assignToGrid(points, 0, {.workers = workers});
 
-  std::vector<std::uint8_t> seen(points.size(), 0);
-  for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
-    const int ring = a.grid.ringOfHeapId(h);
-    for (const NodeId member : a.membersOf(h)) {
-      EXPECT_FALSE(seen[static_cast<std::size_t>(member)]);
-      seen[static_cast<std::size_t>(member)] = 1;
-      EXPECT_EQ(a.ringOfPoint[static_cast<std::size_t>(member)], ring);
-      EXPECT_EQ(a.grid.heapId(ring, a.cellOfPoint[static_cast<std::size_t>(
-                                        member)]),
-                h);
+      std::vector<std::uint8_t> seen(points.size(), 0);
+      for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
+        const int ring = a.grid.ringOfHeapId(h);
+        const auto members = a.membersOf(h);
+        EXPECT_TRUE(std::is_sorted(members.begin(), members.end()))
+            << "d=" << d << " workers=" << workers << " h=" << h;
+        EXPECT_EQ(std::adjacent_find(members.begin(), members.end()),
+                  members.end());
+        for (const NodeId member : members) {
+          EXPECT_FALSE(seen[static_cast<std::size_t>(member)]);
+          seen[static_cast<std::size_t>(member)] = 1;
+          EXPECT_EQ(a.ringOfPoint[static_cast<std::size_t>(member)], ring);
+          EXPECT_EQ(a.grid.heapId(ring, a.cellOfPoint[static_cast<std::size_t>(
+                                            member)]),
+                    h);
+        }
+      }
+      EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                              [](std::uint8_t s) { return s == 1; }))
+          << "d=" << d << " workers=" << workers;
     }
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](std::uint8_t s) { return s == 1; }));
 }
 
 TEST(AssignmentTest, AssignedCellsContainTheirPoints) {
+  // The fused point -> cell pass must agree exactly with the scalar
+  // functions it batches: toPolar, then PolarGrid::ringOf / cellOf on the
+  // chosen grid. d = 4 and 6 reach the tabled sin^k inversions.
   Rng rng(44);
-  for (const int d : {2, 3}) {
+  for (const int d : {2, 3, 4, 6}) {
     const auto points = sampleDiskWithCenterSource(rng, 2000, d);
     const GridAssignment a = assignToGrid(points, 0);
+    double maxRadius = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const PolarCoords polar = toPolar(points[i], points[0]);
+      maxRadius = std::max(maxRadius, polar.radius);
+      const int ring =
+          a.grid.ringOf(std::min(polar.radius, a.grid.outerRadius()));
+      ASSERT_EQ(a.ringOfPoint[i], ring) << "d=" << d << " i=" << i;
+      ASSERT_EQ(a.cellOfPoint[i], a.grid.cellOf(polar, ring))
+          << "d=" << d << " i=" << i;
       const RingSegment segment = a.grid.cellSegment(
           a.ringOfPoint[i], a.cellOfPoint[i]);
       EXPECT_TRUE(segment.contains(polar, 1e-9)) << "d=" << d << " i=" << i;
     }
+    EXPECT_EQ(a.grid.outerRadius(), maxRadius) << "d=" << d;
   }
 }
 

@@ -17,14 +17,6 @@ SessionOptions degree(int d) {
   return options;
 }
 
-/// Legacy full-regrid maintenance (incremental mode off), for the tests
-/// that assert the regrid-driven behaviors specifically.
-SessionOptions legacyDegree(int d) {
-  SessionOptions options = degree(d);
-  options.incremental = false;
-  return options;
-}
-
 /// Validates the snapshot tree and returns its metrics.
 TreeMetrics check(const OverlaySession& session, int maxDegree) {
   const SessionSnapshot snap = session.snapshot();
@@ -63,18 +55,25 @@ TEST(OverlaySessionTest, DegreeTwoSession) {
 }
 
 TEST(OverlaySessionTest, JoinOutsideRadiusTriggersRegrid) {
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
+  // A joiner so far out that covering it would need more rings than the
+  // maxRingSlack memory guard allows: extendRadius() refuses, and the
+  // session falls back to a full regrid that places everyone.
+  OverlaySession session(Point{0.0, 0.0}, degree(6));
   session.join(Point{0.5, 0.0});
-  const auto before = session.stats().regrids;
-  session.join(Point{10.0, 0.0});  // far outside initialRadius = 1
-  EXPECT_GT(session.stats().regrids, before);
+  const auto regridsBefore = session.stats().regrids;
+  const auto extendsBefore = session.stats().extends;
+  const NodeId far = session.join(Point{1e6, 0.0});
+  EXPECT_GT(session.stats().regrids, regridsBefore);
+  EXPECT_EQ(session.stats().extends, extendsBefore);
+  EXPECT_GE(session.outerRadius(), 1e6);
+  EXPECT_NE(session.parentOf(far), kNoNode);
   check(session, 6);
 }
 
 TEST(OverlaySessionTest, JoinOutsideRadiusExtendsIncrementally) {
-  // Incremental mode appends outer shells instead of regridding: existing
-  // hosts keep their cells, the outer radius covers the newcomer, and the
-  // tree stays valid.
+  // A joiner moderately outside the radius appends outer shells instead of
+  // regridding: existing hosts keep their cells, the outer radius covers
+  // the newcomer, and the tree stays valid.
   OverlaySession session(Point{0.0, 0.0}, degree(6));
   session.join(Point{0.5, 0.0});
   const auto regridsBefore = session.stats().regrids;
@@ -82,16 +81,6 @@ TEST(OverlaySessionTest, JoinOutsideRadiusExtendsIncrementally) {
   EXPECT_EQ(session.stats().regrids, regridsBefore);
   EXPECT_GE(session.stats().extends, 1);
   EXPECT_GE(session.outerRadius(), 10.0);
-  check(session, 6);
-}
-
-TEST(OverlaySessionTest, RingsGrowWithMembership) {
-  Rng rng(3);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
-  const int before = session.rings();
-  for (int i = 0; i < 3000; ++i) session.join(sampleUnitBall(rng, 2));
-  EXPECT_GT(session.rings(), before);
-  EXPECT_GE(session.stats().regrids, 3);  // log-many regrids
   check(session, 6);
 }
 
@@ -176,34 +165,10 @@ TEST(OverlaySessionTest, ChurnStressStaysValidAndBounded) {
   EXPECT_LE(m.maxOutDegree, 6);
 }
 
-TEST(OverlaySessionTest, QualityTracksOfflineAlgorithm) {
-  // After many joins, the online tree's radius should be within a modest
-  // factor of the offline Polar_Grid tree on the same points. (Legacy
-  // mode: periodic full regrids re-place every host, which is what keeps
-  // the factor this tight — the incremental variant below drifts more and
-  // relies on the radius watchdog for its production bound.)
-  Rng rng(6);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
-  for (int i = 0; i < 5000; ++i) session.join(sampleUnitBall(rng, 2));
-  const SessionSnapshot snap = session.snapshot();
-  const TreeMetrics online = computeMetrics(snap.tree, snap.positions);
-
-  NodeId source = kNoNode;
-  for (std::size_t i = 0; i < snap.sessionIds.size(); ++i) {
-    if (snap.sessionIds[i] == 0) source = static_cast<NodeId>(i);
-  }
-  const PolarGridResult offline =
-      buildPolarGridTree(snap.positions, source, {.maxOutDegree = 6});
-  const TreeMetrics offlineMetrics =
-      computeMetrics(offline.tree, snap.positions);
-  EXPECT_LT(online.maxDelay, 2.0 * offlineMetrics.maxDelay);
-  EXPECT_GE(online.maxDelay, radiusLowerBound(snap.positions, source) - 1e-9);
-}
-
 TEST(OverlaySessionTest, IncrementalQualityStaysWithinDriftBound) {
   // Incremental maintenance never re-places old hosts wholesale, so it
   // trades some radius for O(polylog) events: the factor over the offline
-  // build is looser than legacy's 2x but must stay within the constant
+  // build is looser than a fresh build's but must stay within the constant
   // drift bound the watchdog enforces in production.
   Rng rng(6);
   OverlaySession session(Point{0.0, 0.0}, degree(6));
@@ -242,9 +207,6 @@ TEST(OverlaySessionTest, ThreeDimensionalSession) {
 TEST(OverlaySessionTest, RejectsBadOptions) {
   SessionOptions bad;
   bad.maxOutDegree = 1;
-  EXPECT_THROW(OverlaySession(Point{0.0, 0.0}, bad), InvalidArgument);
-  bad = {};
-  bad.regridGrowthFactor = 1.0;
   EXPECT_THROW(OverlaySession(Point{0.0, 0.0}, bad), InvalidArgument);
   bad = {};
   bad.initialRadius = 0.0;
@@ -393,12 +355,12 @@ namespace {
 
 TEST(OverlaySessionCrashTest, CrashesPendingAcrossRegridAreAbsorbed) {
   // A regrid rebuilds the overlay from live hosts only, so crashes that
-  // are still pending when it fires must come out fully repaired.
-  // (Legacy mode: incremental splits deliberately do NOT absorb pending
-  // crashes — that is detectAndRepair()'s job — so only the regrid-driven
-  // session reaches a regrid through joins alone.)
+  // are still pending when it fires must come out fully repaired. (Splits
+  // deliberately do NOT absorb pending crashes — that is
+  // detectAndRepair()'s job — so the regrid here is the watchdog's
+  // forceRegrid() escalation.)
   Rng rng(60);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
+  OverlaySession session(Point{0.0, 0.0}, degree(6));
   std::vector<NodeId> ids;
   for (int i = 0; i < 200; ++i)
     ids.push_back(session.join(sampleUnitBall(rng, 2)));
@@ -410,10 +372,9 @@ TEST(OverlaySessionCrashTest, CrashesPendingAcrossRegridAreAbsorbed) {
   EXPECT_EQ(session.undetectedCrashes(),
             static_cast<std::int64_t>(victims.size()));
 
-  // Keep joining until the growth factor forces a regrid.
   const std::int64_t regridsBefore = session.stats().regrids;
-  while (session.stats().regrids == regridsBefore)
-    session.join(sampleUnitBall(rng, 2));
+  session.forceRegrid();
+  EXPECT_EQ(session.stats().regrids, regridsBefore + 1);
 
   EXPECT_EQ(session.undetectedCrashes(), 0);
   for (const NodeId v : victims) {

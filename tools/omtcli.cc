@@ -17,7 +17,7 @@
 //   omtcli churn    [--events 20000] [--warmup 512] [--sweep-every 256]
 //                   [--departure-fraction 0.5] [--crash-fraction 0.3]
 //                   [--degree 6] [--dim 2] [--seed 1] [--min-live 64]
-//                   [--incremental 1] [--snapshot out.txt]
+//                   [--snapshot out.txt]
 //   omtcli dataplane --points points.txt --tree tree.txt [--packets 1000]
 //                   [--interval 1e-4] [--loss 0.01] [--burst-start 0]
 //                   [--burst-stop 0.25] [--burst-loss 0.5]
@@ -31,7 +31,8 @@
 //
 // Any command additionally accepts --trace <file> (Chrome trace_event JSON
 // of the run's spans) and --metrics <file> (Prometheus text exposition);
-// either flag switches the observability runtime on for the process.
+// either flag switches the observability runtime on for the process. A flag
+// the command does not read is rejected before the command runs.
 //
 // Every command prints a short human-readable report to stdout; failures
 // (malformed files, invalid trees) exit non-zero with a message on stderr.
@@ -44,6 +45,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,6 +95,20 @@ class Flags {
     const auto it = values_.find(key);
     OMT_CHECK(it != values_.end(), "missing required flag --" + key);
     return it->second;
+  }
+  /// Throws unless every given --key is in the space-separated `known`
+  /// list (or is one of the global --trace / --metrics), so a misspelt
+  /// flag fails loudly instead of silently leaving its default in place.
+  void rejectUnknown(const std::string& command, std::string_view known) const {
+    std::string padded(" ");
+    padded.append(known).append(" trace metrics ");
+    for (const auto& [key, value] : values_) {
+      std::string needle(" ");
+      needle.append(key).append(" ");
+      if (padded.find(needle) == std::string::npos)
+        throw InvalidArgument("omtcli " + command + " does not accept --" +
+                              key);
+    }
   }
   std::int64_t getInt(const std::string& key, std::int64_t fallback) const {
     const auto it = values_.find(key);
@@ -348,7 +364,6 @@ int cmdChurn(const Flags& flags) {
   SteadyChurnOptions options;
   options.dim = static_cast<int>(flags.getInt("dim", 2));
   options.session.maxOutDegree = static_cast<int>(flags.getInt("degree", 6));
-  options.session.incremental = flags.getInt("incremental", 1) != 0;
   options.warmupHosts = flags.getInt("warmup", 512);
   options.events = flags.getInt("events", 20000);
   options.departureFraction = flags.getDouble("departure-fraction", 0.5);
@@ -629,6 +644,34 @@ int cmdServe(const Flags& flags) {
   return 0;
 }
 
+/// A subcommand and every --key it reads, space-separated.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::string_view flags;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", cmdGenerate, "n dim region seed clusters fraction spread out"},
+    {"build", cmdBuild, "points algo degree source threads fast-math seed out"},
+    {"metrics", cmdMetrics, "points tree degree"},
+    {"simulate", cmdSimulate, "points tree serialization overhead order"},
+    {"render", cmdRender, "points tree grid size out"},
+    {"chaos", cmdChaos,
+     "seed duration arrival crash-fraction burst-rate heartbeat-loss degree "
+     "settle rpc loss attempts partition-rate burst-loss-rate audit-period"},
+    {"churn", cmdChurn,
+     "dim degree warmup events departure-fraction crash-fraction "
+     "sweep-every min-live seed snapshot"},
+    {"dataplane", cmdDataplane,
+     "points tree seed packets interval loss burst-start burst-stop "
+     "burst-loss control-loss queue retx-buffer degree crash-fraction"},
+    {"serve", cmdServe,
+     "script dim groups hosts events seed mean-size skew crash-fraction "
+     "event-gap save-script degree shards rpc disrupt audit-period latency "
+     "delta delta-verify rebalance batch quiesce-rounds top"},
+};
+
 int run(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: omtcli <generate|build|metrics|simulate|render|"
@@ -636,7 +679,15 @@ int run(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  const auto* entry =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return c.name == command; });
+  if (entry == std::end(kCommands)) {
+    std::cerr << "unknown command '" << command << "'\n";
+    return 2;
+  }
   const Flags flags(argc, argv, 2);
+  flags.rejectUnknown(command, entry->flags);
 
   const std::string tracePath = flags.get("trace", "");
   const std::string metricsPath = flags.get("metrics", "");
@@ -646,20 +697,7 @@ int run(int argc, char** argv) {
     obs::setEnabled(true);
   }
 
-  int rc = 2;
-  if (command == "generate") rc = cmdGenerate(flags);
-  else if (command == "build") rc = cmdBuild(flags);
-  else if (command == "metrics") rc = cmdMetrics(flags);
-  else if (command == "simulate") rc = cmdSimulate(flags);
-  else if (command == "render") rc = cmdRender(flags);
-  else if (command == "chaos") rc = cmdChaos(flags);
-  else if (command == "churn") rc = cmdChurn(flags);
-  else if (command == "dataplane") rc = cmdDataplane(flags);
-  else if (command == "serve") rc = cmdServe(flags);
-  else {
-    std::cerr << "unknown command '" << command << "'\n";
-    return 2;
-  }
+  const int rc = entry->run(flags);
 
   if (!tracePath.empty()) {
     obs::TraceRecorder::global().writeChromeTraceFile(tracePath);
