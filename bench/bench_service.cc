@@ -10,8 +10,9 @@
 // latency (batch ingress to the owning group's snapshot swap). A final
 // section measures the publish cost per epoch against group size for the
 // delta path vs the full rebuild (the delta-publication win: sublinear in
-// group size). Emits BENCH_service.json with one row per mode plus the
-// publish-cost curve, and prints the same as tables.
+// group size). Emits BENCH_service.json with one row per mode (including
+// its shard rebalance and migration counts) plus the publish-cost curve,
+// and prints the same as tables.
 //
 // Exits non-zero when a replay fails to converge, when direct-mode
 // throughput (uniform OR skewed) falls below --min-events-per-sec (the CI
@@ -41,6 +42,8 @@ struct ModeResult {
   double p99 = 0.0;
   double shardUtilization = 1.0;  ///< max/mean cumulative shard load
   std::int64_t deltaPublishes = 0;
+  std::int64_t rebalances = 0;  ///< LPT re-placements the sticky check ran
+  std::int64_t migrations = 0;  ///< groups that changed owning shard
 };
 
 ModeResult runMode(const std::string& mode,
@@ -72,6 +75,8 @@ ModeResult runMode(const std::string& mode,
   result.p95 = percentileOf(latencies, 0.95);
   result.p99 = percentileOf(latencies, 0.99);
   result.deltaPublishes = manager.stats().deltaPublishes;
+  result.rebalances = manager.stats().rebalances;
+  result.migrations = manager.stats().migrations;
   const auto loads = manager.shardLoads();
   std::int64_t maxLoad = 0;
   std::int64_t totalLoad = 0;
@@ -142,7 +147,8 @@ int runBench(const Args& args) {
 
   BenchJsonWriter json(benchOutputPath("BENCH_service.json"), "service");
   TextTable table({"mode", "events/s", "groups", "publishes", "delta",
-                   "degraded", "p50 ms", "p99 ms", "shard util"});
+                   "degraded", "p50 ms", "p99 ms", "shard util",
+                   "rebalances", "migrations"});
   bool converged = true;
   double directRate = 0.0;
   double skewRate = 0.0;
@@ -177,7 +183,9 @@ int runBench(const Args& args) {
                   TextTable::count(r.replay.degradedGroups),
                   TextTable::num(r.p50 * 1e3, 3),
                   TextTable::num(r.p99 * 1e3, 3),
-                  TextTable::num(r.shardUtilization, 3)});
+                  TextTable::num(r.shardUtilization, 3),
+                  TextTable::count(r.rebalances),
+                  TextTable::count(r.migrations)});
     json.beginRow();
     json.field("mode", mode);
     json.field("events", r.replay.events);
@@ -189,6 +197,8 @@ int runBench(const Args& args) {
     json.field("apply_seconds", r.replay.applySeconds);
     json.field("events_per_second", r.eventsPerSec);
     json.field("shard_utilization", r.shardUtilization);
+    json.field("rebalances", r.rebalances);
+    json.field("migrations", r.migrations);
     json.field("p50_latency_ms", r.p50 * 1e3);
     json.field("p95_latency_ms", r.p95 * 1e3);
     json.field("p99_latency_ms", r.p99 * 1e3);

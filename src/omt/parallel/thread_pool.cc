@@ -149,11 +149,17 @@ void ThreadPool::run(std::int64_t begin, std::int64_t end, int concurrency,
     job.cursor.store(begin, std::memory_order_relaxed);
     job.slots = concurrency;
     {
+      // Wake only the helpers the job can seat, not the whole (>= 16-thread)
+      // pool. Notifying under mutex_ means no woken worker can finish this
+      // job and re-enter wait() in time to swallow a second notify: each
+      // lands on a worker parked on an older generation, which claims a
+      // slot on waking. Workers that were not asleep see the new generation
+      // before they wait, so no helper slot is left unfilled.
       std::lock_guard<std::mutex> lock(mutex_);
       job_ = &job;
       ++generation_;
+      for (int helper = 1; helper < concurrency; ++helper) wake_.notify_one();
     }
-    wake_.notify_all();
     job.work(/*slot=*/0);
     {
       // Detach the job so no further worker can register, then wait for

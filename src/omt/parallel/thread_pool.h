@@ -20,9 +20,12 @@
 //  * Exceptions thrown by the body stop further chunk scheduling and the
 //    first one is rethrown on the submitting thread.
 //
-// Thread count: the pool's capacity is fixed at first use from the
-// OMT_THREADS environment variable when set, otherwise from the hardware;
-// per-call `workers` arguments are capped by that capacity.
+// Thread count: the global pool's capacity is fixed at first use as
+// max(OMT_THREADS when set, hardware concurrency, 16), so explicit requests
+// up to 16 workers get real threads even on small machines; per-call
+// `workers` arguments are capped by that capacity. Most of those threads
+// stay asleep: a job wakes only the `concurrency - 1` helpers it can seat
+// (one notify_one each), never the whole pool.
 #pragma once
 
 #include <atomic>
@@ -55,6 +58,7 @@ class ThreadPool {
   /// Run `fn` over [begin, end) in chunks of `chunk` indices using at most
   /// `concurrency` slots (capped by capacity() and by the range length).
   /// Blocks until every chunk finished; rethrows the first exception.
+  /// Wakes exactly `concurrency - 1` sleeping workers (after the caps).
   /// Runs inline (single slot 0) when concurrency <= 1, when called from
   /// inside a pool task, or when another job is already running.
   void run(std::int64_t begin, std::int64_t end, int concurrency,

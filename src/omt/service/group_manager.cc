@@ -176,6 +176,7 @@ struct GroupManager::GroupSlot {
 struct GroupManager::ShardReport {
   ServiceStats stats;
   std::int64_t load = 0;  ///< work units this pass (events + published hosts)
+  std::int64_t degraded = 0;  ///< groups quiesce() left degraded
 };
 
 GroupManager::GroupManager(const ServiceOptions& options)
@@ -185,6 +186,7 @@ GroupManager::GroupManager(const ServiceOptions& options)
   OMT_CHECK(options_.deltaMaxFraction >= 0.0,
             "delta fraction must be non-negative");
   shardLoad_.assign(static_cast<std::size_t>(shards_), 0);
+  reportScratch_.resize(static_cast<std::size_t>(shards_));
   eventScratch_.resize(static_cast<std::size_t>(shards_));
   groupScratch_.resize(static_cast<std::size_t>(shards_));
   pageCount_ = (options_.maxGroups + kPageSize - 1) / kPageSize;
@@ -424,6 +426,25 @@ void GroupManager::publish(GroupSlot& slot, GroupId group,
 void GroupManager::rebalance() {
   if (!options_.rebalanceShards || shards_ <= 1 || createdGroups_.empty())
     return;
+  // Sticky placement: keep every group where it is while the current
+  // placement meets Graham's list-scheduling bound
+  //   maxShardLoad <= total / shards + heaviestGroupCost,
+  // checked in O(groups) with no sort. Every greedy LPT result meets the
+  // bound for the costs it was computed from, so a re-placement can never
+  // immediately trigger another; only cost drift since then can.
+  loadScratch_.assign(static_cast<std::size_t>(shards_), 0);
+  std::int64_t total = 0;
+  std::int64_t heaviest = 0;
+  for (const GroupId group : createdGroups_) {
+    const GroupSlot& slot = *slotFor(group);
+    loadScratch_[static_cast<std::size_t>(slot.shard)] += slot.cost;
+    total += slot.cost;
+    heaviest = std::max(heaviest, slot.cost);
+  }
+  const std::int64_t maxLoad =
+      *std::max_element(loadScratch_.begin(), loadScratch_.end());
+  if (maxLoad * shards_ <= total + heaviest * shards_) return;
+
   // Deterministic LPT from published sizes: heaviest groups first (ties by
   // ascending group id) onto the least-loaded shard so far (ties by lowest
   // shard). Group outcomes are placement-invariant — the differential
@@ -485,7 +506,8 @@ ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
   // could race with (slot/page creation happens here too).
   rebalance();
   std::vector<std::vector<std::int64_t>>& perShard = eventScratch_;
-  std::vector<ShardReport> reports(static_cast<std::size_t>(shards_));
+  std::vector<ShardReport>& reports = reportScratch_;
+  std::fill(reports.begin(), reports.end(), ShardReport{});
   for (auto& shard : perShard) shard.clear();
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(events.size()); ++i) {
     const GroupSlot& slot = ensureSlot(events[static_cast<std::size_t>(i)].group);
@@ -579,25 +601,23 @@ std::int64_t GroupManager::quiesce(double now, int maxRounds) {
   for (auto& shard : perShard) shard.clear();
   for (const GroupId group : createdGroups_)
     perShard[static_cast<std::size_t>(slotFor(group)->shard)].push_back(group);
-  std::vector<ShardReport> reports(static_cast<std::size_t>(shards_));
-  std::vector<std::int64_t> stillDegraded(static_cast<std::size_t>(shards_),
-                                          0);
+  std::vector<ShardReport>& reports = reportScratch_;
+  std::fill(reports.begin(), reports.end(), ShardReport{});
   parallelFor(0, shards_, shards_, [&](std::int64_t shard) {
     ShardReport& report = reports[static_cast<std::size_t>(shard)];
     for (const GroupId group : perShard[static_cast<std::size_t>(shard)]) {
       GroupSlot& slot = *slotFor(group);
       if (!quiesceGroup(slot, group, now, maxRounds, report))
-        ++stillDegraded[static_cast<std::size_t>(shard)];
+        ++report.degraded;
     }
   });
   std::int64_t degraded = 0;
-  for (std::int64_t shard = 0; shard < shards_; ++shard) {
-    const ShardReport& report = reports[static_cast<std::size_t>(shard)];
+  for (const ShardReport& report : reports) {
     stats_.publishes += report.stats.publishes;
     stats_.deltaPublishes += report.stats.deltaPublishes;
     stats_.teardowns += report.stats.teardowns;
     stats_.audits += report.stats.audits;
-    degraded += stillDegraded[static_cast<std::size_t>(shard)];
+    degraded += report.degraded;
     flushStatsMetrics(report.stats);
   }
   accumulateShardLoads(reports);

@@ -3,11 +3,12 @@
 // maintained OverlaySession, with non-blocking route snapshots for readers.
 //
 // Write path (one thread at a time): apply() ingests a batch of
-// group-tagged membership events, partitions it by shard
-// (shard = group % shards, preserving per-group event order), and fans the
-// shards out over the PR 2 thread pool. A group is owned by exactly one
-// shard, so builders never contend; after a shard drains its events it
-// republishes a fresh immutable RouteTable for every group it touched.
+// group-tagged membership events, partitions it by owning shard
+// (group % shards at creation, then moved only by the sticky rebalancer;
+// per-group event order is preserved), and fans the shards out over the
+// shared thread pool. A group is owned by exactly one shard, so builders
+// never contend; after a shard drains its events it republishes a fresh
+// immutable RouteTable for every group it touched.
 //
 // Read path (any number of threads, any time): each group slot holds an
 // atomic snapshot pointer (a shared_ptr swapped under a per-slot
@@ -52,8 +53,9 @@ namespace omt {
 struct ServiceOptions {
   /// Per-group overlay options.
   SessionOptions session;
-  /// Builder shards; groups are owned by shard group % shards. 0 resolves
-  /// like every other worker count (OMT_THREADS, then hardware).
+  /// Builder shards; a group starts on shard group % shards (see
+  /// rebalanceShards). 0 resolves like every other worker count
+  /// (OMT_THREADS, then hardware).
   int shards = 0;
   /// Group-id space; slots are paged in lazily, so a sparse id space only
   /// costs one page-table entry per 1024 ids.
@@ -94,10 +96,13 @@ struct ServiceOptions {
   /// differential-test only — it defeats the point of the delta path.
   bool deltaVerify = false;
 
-  /// Re-assign group -> shard ownership at batch boundaries from published
-  /// per-group sizes (deterministic LPT, heaviest groups first). Group
-  /// outcomes (tables, epochs, fingerprints) are placement-invariant, so
-  /// migration is purely a load-balance move. Off: static group % shards.
+  /// Keep group -> shard ownership balanced at batch boundaries. Placement
+  /// is sticky: groups stay put while the heaviest shard's published load
+  /// is within Graham's list-scheduling bound (total / shards + the
+  /// heaviest group's cost); only a placement that breaks it is redone
+  /// with a deterministic LPT pass (heaviest groups first). Group outcomes
+  /// (tables, epochs, fingerprints) are placement-invariant, so migration
+  /// is purely a load-balance move. Off: static group % shards.
   bool rebalanceShards = true;
 };
 
@@ -125,7 +130,7 @@ struct ServiceStats {
   std::int64_t groupsCreated = 0;
   std::int64_t audits = 0;        ///< anti-entropy sweeps (RPC mode)
   std::int64_t parkedJoins = 0;   ///< joins left parked by a drive (RPC mode)
-  std::int64_t rebalances = 0;    ///< shard-rebalance passes run
+  std::int64_t rebalances = 0;    ///< LPT re-placements run (bound broken)
   std::int64_t migrations = 0;    ///< groups that changed owning shard
 };
 
@@ -216,8 +221,10 @@ class GroupManager {
   /// One quiesce pass over a group; true when nothing is left degraded.
   bool quiesceGroup(GroupSlot& slot, GroupId group, double now,
                     int maxRounds, ShardReport& report);
-  /// Deterministic cost-driven LPT re-assignment of groups to shards
-  /// (writer thread, batch boundary). No-op unless rebalanceShards.
+  /// Writer thread, batch boundary: an O(groups) check of the current
+  /// placement against the list-scheduling bound, and a deterministic
+  /// cost-driven LPT re-assignment of groups to shards only when the
+  /// bound is broken. No-op unless rebalanceShards.
   void rebalance();
   /// Merge per-shard load tallies and refresh the shard gauges.
   void accumulateShardLoads(std::span<const ShardReport> reports);
@@ -234,6 +241,7 @@ class GroupManager {
   std::vector<std::int64_t> shardLoad_;  ///< cumulative, by shard
   // Writer-side scratch reused across apply()/quiesce() calls so the
   // steady-state batch path stops re-allocating its partition buffers.
+  std::vector<ShardReport> reportScratch_;  ///< one per shard
   std::vector<std::vector<std::int64_t>> eventScratch_;
   std::vector<std::vector<GroupId>> groupScratch_;
   std::vector<std::pair<std::int64_t, GroupId>> costScratch_;

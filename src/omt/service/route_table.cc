@@ -1,7 +1,6 @@
 #include "omt/service/route_table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstring>
 #include <utility>
@@ -82,10 +81,13 @@ std::shared_ptr<RouteTable> RouteTable::makeShell(
     std::uint64_t epoch) {
   if (recycle && recycle.use_count() == 1) {
     // We hold the only reference and the snapshot slot no longer points at
-    // this table, so no reader can mint a new one. The fence pairs with the
-    // last reader's release-decrement of the refcount, ordering its reads
-    // of the table before our in-place overwrite.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // this table, so no reader can mint a new one. Copying the pointer once
+    // is an acq_rel increment of the refcount: it reads from the last
+    // reader's release-decrement, ordering that reader's reads of the table
+    // before our in-place overwrite. (A standalone acquire fence orders the
+    // same way, but ThreadSanitizer does not model fences and reports the
+    // overwrite as a race.)
+    { const std::shared_ptr<const RouteTable> acquire = recycle; }
     auto shell = std::const_pointer_cast<RouteTable>(std::move(recycle));
     shell->group_ = group;
     shell->epoch_ = epoch;

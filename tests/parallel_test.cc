@@ -5,10 +5,12 @@
 // they also serve as the race-condition smoke test under OMT_SANITIZE.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +154,47 @@ TEST(ThreadPoolTest, ResolveWorkersReadsEnvironment) {
     ::setenv("OMT_THREADS", savedValue.c_str(), 1);
   } else {
     ::unsetenv("OMT_THREADS");
+  }
+}
+
+// A job wakes only the helpers it can seat (one notify_one per helper
+// slot), so a lost wake-up would leave a job without helpers. Slot 0's
+// chunk blocks until a helper slot has claimed a chunk: with a lost
+// wake-up nobody else ever runs, and the bounded wait times out.
+TEST(ThreadPoolTest, EveryJobGetsItsHelpers) {
+  constexpr int kJobs = 500;
+  constexpr auto kBound = std::chrono::seconds(10);
+  for (const int concurrency : {2, 4}) {
+    const std::int64_t range = 2 * concurrency;
+    for (int job = 0; job < kJobs; ++job) {
+      std::atomic<bool> helperClaimed{false};
+      std::atomic<bool> timedOut{false};
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(range));
+      globalPool().run(
+          0, range, concurrency, 1,
+          [&](std::int64_t lo, std::int64_t hi, int slot) {
+            if (slot != 0) {
+              helperClaimed.store(true);
+            } else {
+              const auto deadline = std::chrono::steady_clock::now() + kBound;
+              while (!helperClaimed.load() && !timedOut.load()) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                  timedOut.store(true);
+                  break;
+                }
+                std::this_thread::yield();
+              }
+            }
+            for (std::int64_t i = lo; i < hi; ++i)
+              ++hits[static_cast<std::size_t>(i)];
+          });
+      ASSERT_FALSE(timedOut.load())
+          << "job " << job << " at concurrency " << concurrency
+          << ": no helper claimed a chunk within 10 s";
+      for (std::int64_t i = 0; i < range; ++i)
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "job " << job << " index " << i;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // kQuick audit must agree with kFull — including on corrupted tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <span>
@@ -117,14 +118,55 @@ TEST(ServiceDeltaTest, DeltaMatchesFullRebuildAcrossRandomizedChurn) {
   EXPECT_GT(deltasSeen, 1000);
 }
 
+/// Graham's list-scheduling bound over `costs` (group -> rebalance weight,
+/// a published table's size + 1) placed as the manager places them now:
+/// maxShardLoad <= total / shards + heaviestGroupCost. The sticky
+/// rebalancer keeps every placement it lets stand within it.
+bool placementWithinListBound(
+    const GroupManager& manager,
+    const std::vector<std::pair<GroupId, std::int64_t>>& costs) {
+  std::vector<std::int64_t> load(static_cast<std::size_t>(manager.shards()),
+                                 0);
+  std::int64_t total = 0;
+  std::int64_t heaviest = 0;
+  for (const auto& [group, cost] : costs) {
+    load[static_cast<std::size_t>(manager.shardOf(group))] += cost;
+    total += cost;
+    heaviest = std::max(heaviest, cost);
+  }
+  const std::int64_t maxLoad = *std::max_element(load.begin(), load.end());
+  return maxLoad * manager.shards() <= total + heaviest * manager.shards();
+}
+
+/// Every created group's current rebalance weight.
+std::vector<std::pair<GroupId, std::int64_t>> currentCosts(
+    const GroupManager& manager) {
+  std::vector<std::pair<GroupId, std::int64_t>> costs;
+  for (const GroupId group : manager.createdGroups()) {
+    const auto table = manager.routes(group);
+    costs.emplace_back(group, (table ? table->size() : 0) + 1);
+  }
+  return costs;
+}
+
 TEST(ServiceDeltaTest, RebalancingNeverChangesAnyGroupsTable) {
-  ScriptOptions script;
-  script.groups = 24;
-  script.hosts = 600;
-  script.events = 6000;
-  script.seed = 21;
-  script.sizeSkew = 1.0;  // heavy-head sizes: rebalancing actually moves work
-  const auto events = generateMembershipScript(script);
+  // Four equal-size groups that all start on shard 0 of 4 (group % 4 == 0):
+  // the initial placement breaks the list-scheduling bound, so the sticky
+  // rebalancer must move groups. Later batches churn every group equally
+  // (one leave + one join each), which keeps the spread placement balanced.
+  const std::vector<GroupId> groups = {0, 4, 8, 12};
+  std::vector<std::vector<MembershipEvent>> batches(1);
+  for (const GroupId group : groups)
+    for (const MembershipEvent& e : joinBatch(group, 0, 12))
+      batches[0].push_back(e);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<MembershipEvent>& batch = batches.emplace_back();
+    for (const GroupId group : groups) {
+      batch.push_back({0.0, group, ServiceEventKind::kLeave, round, Point()});
+      for (const MembershipEvent& e : joinBatch(group, 100 + round, 1))
+        batch.push_back(e);
+    }
+  }
 
   std::map<GroupId, std::pair<std::uint64_t, std::uint64_t>> outcomes[2];
   for (const bool rebalance : {false, true}) {
@@ -132,24 +174,74 @@ TEST(ServiceDeltaTest, RebalancingNeverChangesAnyGroupsTable) {
     options.shards = 4;
     options.rebalanceShards = rebalance;
     GroupManager manager(options);
-    const ReplayResult result =
-        replayScript(manager, events, {.batchSize = 256});
-    EXPECT_TRUE(result.converged());
+    for (const auto& batch : batches) manager.apply(batch);
+    EXPECT_EQ(manager.quiesce(1.0), 0);
     if (rebalance) {
       EXPECT_GT(manager.stats().rebalances, 0);
-      std::int64_t total = 0;
-      for (const std::int64_t load : manager.shardLoads()) total += load;
-      EXPECT_GT(total, 0);
+      EXPECT_GT(manager.stats().migrations, 0);
+      EXPECT_TRUE(placementWithinListBound(manager, currentCosts(manager)));
+    } else {
+      EXPECT_EQ(manager.stats().migrations, 0);
+      for (const GroupId group : groups) EXPECT_EQ(manager.shardOf(group), 0);
     }
     for (const GroupId group : manager.createdGroups())
       outcomes[rebalance ? 1 : 0][group] = {
           manager.routes(group) ? manager.routes(group)->fingerprint() : 0,
           manager.epochOf(group)};
   }
+  ASSERT_EQ(outcomes[0].size(), groups.size());
   ASSERT_EQ(outcomes[0].size(), outcomes[1].size());
   for (const auto& [group, fpEpoch] : outcomes[0])
     EXPECT_EQ(outcomes[1].at(group), fpEpoch)
         << "group " << group << ": rebalancing changed the published table";
+}
+
+// Sticky placement: under a skewed script replayed in small batches, the
+// rebalancer must keep the placement within the list-scheduling bound at
+// every batch boundary while re-placing rarely — LPT on every batch
+// re-shuffled most groups each time.
+TEST(ServiceDeltaTest, StickyPlacementStopsMigrating) {
+  ScriptOptions script;
+  script.groups = 200;
+  script.hosts = 4000;
+  script.events = 20000;
+  script.seed = 23;
+  script.sizeSkew = 1.0;
+  const auto events = generateMembershipScript(script);
+
+  ServiceOptions options;
+  options.shards = 4;
+  GroupManager manager(options);
+  const std::size_t batchSize = 64;
+  std::int64_t batches = 0;
+  for (std::size_t at = 0; at < events.size(); at += batchSize) {
+    // The rebalancer judges the placement at the batch boundary on the
+    // groups that existed then, weighted by their last published sizes;
+    // groups do not move inside apply(), so shardOf() after the batch is
+    // the placement it let stand (or chose).
+    const auto costs = currentCosts(manager);
+    const auto len = std::min(batchSize, events.size() - at);
+    manager.apply(std::span<const MembershipEvent>(events.data() + at, len));
+    ++batches;
+    ASSERT_TRUE(placementWithinListBound(manager, costs))
+        << "placement breaks the list-scheduling bound at batch " << batches;
+  }
+  EXPECT_GT(manager.stats().migrations, 0);
+  EXPECT_LE(manager.stats().rebalances * 10, batches)
+      << manager.stats().rebalances << " re-placements in " << batches
+      << " batches";
+
+  // The groups that moved still publish exactly what static placement does.
+  ServiceOptions fixed = options;
+  fixed.rebalanceShards = false;
+  GroupManager reference(fixed);
+  replayScript(reference, events,
+               {.batchSize = static_cast<std::int64_t>(batchSize),
+                .quiesceAtEnd = false});
+  EXPECT_EQ(serviceFingerprint(manager), serviceFingerprint(reference));
+  for (const GroupId group : manager.createdGroups())
+    EXPECT_EQ(manager.epochOf(group), reference.epochOf(group))
+        << "group " << group;
 }
 
 TEST(ServiceDeltaTest, QuickAuditAgreesWithFullAndCatchesCorruption) {
