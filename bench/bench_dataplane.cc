@@ -6,9 +6,9 @@
 // rates {0, 0.1%, 1%, 5%, 10%} plus one Gilbert–Elliott bursty row at the
 // same mean loss as the 1% point. Reports delivery goodput
 // (exactly-once deliveries per engine wall-second), delivery-latency
-// p50/p95/p99, and the recovery overhead (retransmits and NACKs per
-// delivery). This is the goodput/p99-vs-loss curve the data-plane PR is
-// judged on.
+// p50/p95/p99, and the recovery overhead (retransmits per delivery and per
+// link loss, NACKs). Retransmits per link loss is the repair-amplification
+// figure: about 1 when every lost packet costs one resend.
 //
 // Part B (zero-loss rate row): an n = 10,000 tree with a short propagation
 // factor (keeps the event heap at a bounded lead over delivery), zero loss,
@@ -19,7 +19,8 @@
 // Always writes BENCH_dataplane.json:
 //   {"bench": "dataplane",
 //    "rows": [{"label": ..., "loss": ..., "goodput_pps": ...,
-//              "p50_ms": ..., "p99_ms": ..., "retx_per_delivery": ...}...],
+//              "p50_ms": ..., "p99_ms": ..., "retx_per_delivery": ...,
+//              "retx_per_link_loss": ...}...],
 //    "zero_loss_goodput_pps": ..., "zero_loss_hosts": ...}
 // Deterministic for a fixed seed (wall-clock fields excepted).
 #include "common.h"
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   };
 
   TextTable table({"Row", "Loss", "Goodput/s", "p50 ms", "p95 ms", "p99 ms",
-                   "Retx/delivery", "NACKs", "Completed"});
+                   "Retx/delivery", "Retx/loss", "NACKs", "Completed"});
   for (const SweepRow& row : rows) {
     DataplaneOptions options;
     options.seed = deriveSeed(args.seed, 0xDA7A01);
@@ -98,12 +99,18 @@ int main(int argc, char** argv) {
             ? static_cast<double>(result.retransmits) /
                   static_cast<double>(result.deliveries)
             : 0.0;
+    const double retxPerLoss =
+        result.linkLosses > 0
+            ? static_cast<double>(result.retransmits) /
+                  static_cast<double>(result.linkLosses)
+            : 0.0;
     table.addRow({row.label, TextTable::num(100.0 * meanLoss, 2) + "%",
                   TextTable::count(static_cast<long long>(goodput)),
                   TextTable::num(result.deliveryLatency.p50() * 1e3, 2),
                   TextTable::num(result.deliveryLatency.p95() * 1e3, 2),
                   TextTable::num(result.deliveryLatency.p99() * 1e3, 2),
                   TextTable::num(retxPerDelivery, 4),
+                  TextTable::num(retxPerLoss, 2),
                   TextTable::count(result.nacksSent),
                   result.completed ? "yes" : "NO"});
     json.beginRow();
@@ -117,6 +124,7 @@ int main(int argc, char** argv) {
     json.field("p95_ms", result.deliveryLatency.p95() * 1e3);
     json.field("p99_ms", result.deliveryLatency.p99() * 1e3);
     json.field("retx_per_delivery", retxPerDelivery);
+    json.field("retx_per_link_loss", retxPerLoss);
     json.field("nacks", result.nacksSent);
     json.field("queue_drops", result.queueDrops);
     json.field("link_losses", result.linkLosses);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <queue>
 
@@ -75,6 +76,7 @@ struct Event {
     kComplete,   ///< subtree-complete notice arrives at `node` from `peer`
     kCrash,      ///< `node` goes dark
     kRehome,     ///< orphaned `node` re-attaches to a live parent
+    kPump,       ///< `node`'s uplink has drained to half: refill it
   };
 
   double time = 0.0;
@@ -94,6 +96,12 @@ struct EventAfter {
   }
 };
 
+/// One queued repair copy: a NACKed sequence or a refetch serve.
+struct Resend {
+  NodeId child = kNoNode;
+  std::uint64_t seq = 0;
+};
+
 struct NodeState {
   NodeId parent = kNoNode;
   std::vector<NodeId> children;
@@ -101,8 +109,18 @@ struct NodeState {
   bool crashed = false;
   double crashTime = 0.0;
 
+  // Pull-based forwarding: the retransmit ring is the send buffer and the
+  // uplink queue is only the NIC FIFO, fed by pump() while it has headroom.
   UplinkQueue queue;
   GilbertElliottChain chain;
+  /// Next original sequence to forward to each child (parallel to
+  /// children). Never above nextExpected, never below the ring's oldest
+  /// held sequence once pumped.
+  std::vector<std::uint64_t> cursor;
+  std::vector<Resend> resend;   ///< repair copies, sent ahead of originals
+  std::size_t resendHead = 0;   ///< FIFO front of `resend`
+  std::size_t nextChild = 0;    ///< round-robin position over children
+  bool pumpArmed = false;       ///< a kPump wake-up is scheduled
 
   std::uint64_t nextExpected = 0;
   std::uint64_t highestSeen = 0;
@@ -165,12 +183,13 @@ class Engine {
   }
 
   // -- data path -------------------------------------------------------
+  /// One transmission into the sender's NIC FIFO. Only pump() calls this,
+  /// and only with headroom, so the engine never tail-drops.
   void enqueueData(NodeId sender, NodeId child, std::uint64_t seq, double now,
                    bool isRetransmit) {
     NodeState& s = nodes_[static_cast<std::size_t>(sender)];
-    if (s.crashed) return;
     const double depart = s.queue.enqueue(now, o_.serializationTime);
-    if (depart < 0.0) return;  // tail-dropped; aggregated from the queue
+    OMT_ASSERT(depart >= 0.0, "pump overran the uplink queue");
     ++result_.packetsSent;
     if (isRetransmit) ++result_.retransmits;
     if (s.chain.roll(rng_, o_.burst, o_.lossProbability,
@@ -186,25 +205,86 @@ class Engine {
     schedule(arrive, Event::kData, child, sender, wireSeq(seq), 0, depart);
   }
 
-  /// Serve any pending child refetch requests for `seq` as it passes
-  /// through `v` (fresh delivery or suppressed duplicate alike).
-  void servePending(NodeId v, std::uint64_t seq, double now) {
+  /// Queue any pending child refetch requests for `seq` as it passes
+  /// through `v` (fresh delivery or suppressed duplicate alike). Returns
+  /// whether anything was queued; the caller pumps.
+  bool servePending(NodeId v, std::uint64_t seq) {
     NodeState& n = nodes_[static_cast<std::size_t>(v)];
-    if (n.pendingServes.empty()) return;
+    if (n.pendingServes.empty()) return false;
     const auto it = n.pendingServes.find(seq);
-    if (it == n.pendingServes.end()) return;
-    for (const NodeId child : it->second) {
-      if (nodes_[static_cast<std::size_t>(child)].crashed) continue;
-      if (!isChildOf(v, child)) continue;  // re-homed away meanwhile
-      enqueueData(v, child, seq, now, /*isRetransmit=*/true);
-    }
+    if (it == n.pendingServes.end()) return false;
+    for (const NodeId child : it->second) n.resend.push_back({child, seq});
     n.pendingServes.erase(it);
+    return true;
   }
 
-  bool isChildOf(NodeId parent, NodeId child) const {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  /// Position of `child` in `parent`'s children, or kNone.
+  std::size_t childIndex(NodeId parent, NodeId child) const {
     const NodeState& p = nodes_[static_cast<std::size_t>(parent)];
-    return std::find(p.children.begin(), p.children.end(), child) !=
-           p.children.end();
+    const auto it = std::find(p.children.begin(), p.children.end(), child);
+    return it == p.children.end()
+               ? kNone
+               : static_cast<std::size_t>(it - p.children.begin());
+  }
+
+  /// The child the next original goes to (round robin from nextChild), or
+  /// kNone when every unfinished child is caught up with the delivery
+  /// head. (A crashed child has already been removed from `children`.) A cursor that fell behind the ring skips to its oldest
+  /// held sequence: the child recovers the skipped range by NACK, eviction
+  /// miss and refetch, so the ring stays the only send buffer.
+  std::size_t nextOriginal(NodeState& n) {
+    const std::size_t k = n.children.size();
+    const std::uint64_t oldest =
+        n.ring.head() - static_cast<std::uint64_t>(n.ring.occupancy());
+    for (std::size_t step = 0; step < k; ++step) {
+      const std::size_t i = (n.nextChild + step) % k;
+      if (n.childDone[i]) continue;
+      n.cursor[i] = std::max(n.cursor[i], oldest);
+      if (n.cursor[i] < n.nextExpected) return i;
+    }
+    return kNone;
+  }
+
+  /// Feed `v`'s uplink while it has headroom: repair copies first, then
+  /// originals round robin over the children. When the queue is full and
+  /// work remains, one wake-up is armed for when it has drained to half,
+  /// so the uplink never idles while a backlog waits and a backlog costs
+  /// O(backlog / capacity) events.
+  void pump(NodeId v, double now) {
+    NodeState& n = nodes_[static_cast<std::size_t>(v)];
+    if (n.crashed) return;
+    for (;;) {
+      // Drop repair copies for children that crashed or re-homed away.
+      while (n.resendHead < n.resend.size() &&
+             childIndex(v, n.resend[n.resendHead].child) == kNone)
+        ++n.resendHead;
+      const bool repair = n.resendHead < n.resend.size();
+      if (!repair) {
+        n.resend.clear();
+        n.resendHead = 0;
+      }
+      const std::size_t next = repair ? kNone : nextOriginal(n);
+      if (!repair && next == kNone) return;  // caught up
+      if (n.queue.occupancy(now) >= n.queue.capacity()) {
+        if (!n.pumpArmed) {
+          n.pumpArmed = true;
+          schedule(n.queue.drainedTo(n.queue.capacity() / 2), Event::kPump,
+                   v);
+        }
+        return;
+      }
+      if (repair) {
+        const Resend r = n.resend[n.resendHead++];
+        enqueueData(v, r.child, r.seq, now, /*isRetransmit=*/true);
+        continue;
+      }
+      const std::uint64_t seq = n.cursor[next]++;
+      OMT_ASSERT(n.ring.holds(seq), "forwarding an evicted original");
+      n.nextChild = (next + 1) % n.children.size();
+      enqueueData(v, n.children[next], seq, now, /*isRetransmit=*/false);
+    }
   }
 
   bool subtreeDone(const NodeState& n) const {
@@ -270,13 +350,8 @@ class Engine {
     }
     if (o_.recordDeliveries)
       result_.deliveryLog[static_cast<std::size_t>(v)].push_back(seq);
-    servePending(v, seq, now);
-    for (std::size_t i = 0; i < n.children.size(); ++i) {
-      if (n.childDone[i]) continue;
-      const NodeId child = n.children[i];
-      if (nodes_[static_cast<std::size_t>(child)].crashed) continue;
-      enqueueData(v, child, seq, now, /*isRetransmit=*/false);
-    }
+    servePending(v, seq);
+    pump(v, now);
     if (n.delivered == o_.packetCount) {
       n.localComplete = true;
       maybeComplete(v, now);
@@ -313,7 +388,8 @@ class Engine {
     n.wantUpTo = std::max(n.wantUpTo, u + 1);
     if (u < n.nextExpected) {
       ++result_.duplicatesSuppressed;
-      servePending(ev.node, u, ev.time);  // refetched copy: relay onward
+      // Refetched copy: relay onward.
+      if (servePending(ev.node, u)) pump(ev.node, ev.time);
       return;
     }
     if (u >= n.nextExpected +
@@ -408,7 +484,8 @@ class Engine {
   void onNack(const Event& ev) {
     NodeState& n = nodes_[static_cast<std::size_t>(ev.node)];
     if (n.crashed) return;
-    if (!isChildOf(ev.node, ev.peer)) return;  // stale (re-homed) request
+    const std::size_t ci = childIndex(ev.node, ev.peer);
+    if (ci == kNone) return;  // stale (re-homed) request
     const std::uint64_t lo =
         unwrapSeq(ev.seq, std::max(n.highestSeen, n.nextExpected));
     const std::uint64_t hi =
@@ -416,10 +493,14 @@ class Engine {
                                      static_cast<std::uint64_t>(
                                          o_.reorderWindow));
     bool registered = false;
+    bool queued = false;
     for (std::uint64_t u = lo; u < hi; ++u) {
-      if (u >= n.nextExpected) break;  // not delivered here yet: will flow
+      // Not yet forwarded to this child (the cursor never passes the
+      // delivery head, so this covers "not delivered here yet"): will flow.
+      if (u >= n.cursor[ci]) break;
       if (n.ring.holds(u)) {
-        enqueueData(ev.node, ev.peer, u, ev.time, /*isRetransmit=*/true);
+        n.resend.push_back({ev.peer, u});
+        queued = true;
         continue;
       }
       ++result_.evictionMisses;
@@ -442,6 +523,12 @@ class Engine {
       }
     }
     if (registered) armNack(ev.node, ev.time);  // pace the refetch retries
+    if (queued) pump(ev.node, ev.time);
+  }
+
+  void onPump(const Event& ev) {
+    nodes_[static_cast<std::size_t>(ev.node)].pumpArmed = false;
+    pump(ev.node, ev.time);
   }
 
   void onSyncTimer(const Event& ev) {
@@ -493,6 +580,8 @@ class Engine {
     n.crashTime = ev.time;
     ++result_.crashedNodes;
     n.pendingServes.clear();
+    n.resend.clear();
+    n.resendHead = 0;
     // The live parent stops forwarding to (and probing) the dead child —
     // modelled as the PR 1 failure detector confirming the crash.
     if (n.parent != kNoNode) {
@@ -504,6 +593,7 @@ class Engine {
                              static_cast<std::ptrdiff_t>(i));
             p.childDone.erase(p.childDone.begin() +
                               static_cast<std::ptrdiff_t>(i));
+            p.cursor.erase(p.cursor.begin() + static_cast<std::ptrdiff_t>(i));
             break;
           }
         }
@@ -517,6 +607,7 @@ class Engine {
     }
     n.children.clear();
     n.childDone.clear();
+    n.cursor.clear();
   }
 
   bool isDescendantOf(NodeId node, NodeId ancestor) const {
@@ -574,6 +665,7 @@ class Engine {
     c.parent = chosen;
     np.children.push_back(ev.node);
     np.childDone.push_back(0);
+    np.cursor.push_back(np.nextExpected);  // from the head; older by NACK
     ++result_.rehomedChildren;
     resetNackPacing(ev.node);  // fresh parent: re-derive the repair pacing
     if (c.wantUpTo > c.nextExpected) armNack(ev.node, ev.time);
@@ -707,6 +799,7 @@ DataplaneResult Engine::run() {
     const auto children = tree_.childrenOf(v);
     n.children.assign(children.begin(), children.end());
     n.childDone.assign(n.children.size(), 0);
+    n.cursor.assign(n.children.size(), base_);
     n.queue = UplinkQueue(o_.queueCapacity);
     n.nextExpected = base_;
     n.highestSeen = base_;
@@ -748,6 +841,7 @@ DataplaneResult Engine::run() {
       case Event::kComplete: onComplete(ev); break;
       case Event::kCrash: onCrash(ev); break;
       case Event::kRehome: onRehome(ev); break;
+      case Event::kPump: onPump(ev); break;
     }
   }
   result_.wallSeconds = watch.seconds();

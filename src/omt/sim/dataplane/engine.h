@@ -3,23 +3,37 @@
 // The analytic simulators in omt/sim charge every edge its geometric length
 // and fold loss into closed-form retry shifts; this engine actually pushes
 // packets. The source emits `packetCount` sequenced packets at
-// `packetInterval`; every node forwards each in-order delivery to its
-// children over a serialized uplink (finite bandwidth, bounded FIFO,
-// tail-drop), each transmission crosses a lossy link (i.i.d. plus
-// Gilbert–Elliott bursts plus scheduled loss-burst windows) and arrives
-// after propagation delay = geometric distance. Receivers run the recovery
-// machinery in recovery.h: 32-bit wire sequences with explicit wraparound,
-// a bounded reorder/dup-suppression window, gap-detection NACKs under
-// capped exponential backoff, and parent-side bounded retransmit rings with
-// eviction accounting. Idle parents advertise their delivery head with
-// periodic SYNC probes (Trickle-style), which closes the tail-loss hole and
-// resynchronizes re-homed children.
+// `packetInterval`; every node forwards its in-order deliveries to its
+// children over a serialized uplink, each transmission crosses a lossy link
+// (i.i.d. plus Gilbert–Elliott bursts plus scheduled loss-burst windows)
+// and arrives after propagation delay = geometric distance. Receivers run
+// the recovery machinery in recovery.h: 32-bit wire sequences with explicit
+// wraparound, a bounded reorder/dup-suppression window, gap-detection NACKs
+// under capped exponential backoff, and parent-side bounded retransmit
+// rings with eviction accounting. Idle parents advertise their delivery
+// head with periodic SYNC probes (Trickle-style), which closes the
+// tail-loss hole and resynchronizes re-homed children.
+//
+// Forwarding is pull-based: the retransmit ring is the send buffer and the
+// uplink FIFO is only the NIC queue. Each (parent, child) edge keeps a
+// cursor over the parent's delivered sequences; NACKed copies and refetch
+// serves wait in a per-node resend FIFO. One pump per node feeds the
+// uplink only while it has headroom — resends first, then originals round
+// robin over the children — and, when the queue is full, sleeps until it
+// has drained to half. So the uplink never idles while a backlog waits,
+// nothing is tail-dropped, and a NACK is answered by exactly the copies it
+// names: sequences not yet forwarded to that child will flow and are not
+// resent. Originals leave only while the ring still holds them; a cursor
+// that falls behind the ring's oldest sequence skips to it, and the child
+// recovers the skipped range by NACK, eviction miss and refetch.
 //
 // Crash composition: a crash schedule (node, time) silences a node
 // mid-stream; after `rehomeDelay` each orphaned child re-homes to its
 // nearest live ancestor with spare degree (the PR 1 backup-parent walk,
 // falling back to a global nearest-feasible scan), resynchronizes from the
-// new parent's retransmit ring, and the stream continues. A NACK for a
+// new parent's retransmit ring, and the stream continues. The dead node's
+// forwarding state is dropped; the new parent's cursor for a re-homed
+// child starts at its own delivery head. A NACK for a
 // sequence the parent has already evicted is an *eviction miss*: the parent
 // refetches it from its own parent (recursive repair, paced by the same
 // NACK timer), so bounded buffers stay bounded and recovery still converges
@@ -65,14 +79,19 @@ struct DataplaneOptions {
   double serializationTime = 1e-6;  ///< uplink busy time per packet per child
   double perHopOverhead = 0.0;      ///< fixed forwarding latency per hop
   double propagationFactor = 1.0;   ///< propagation delay = factor * distance
-  int queueCapacity = 128;          ///< per-uplink FIFO bound (tail-drop)
+  /// Depth of each node's uplink NIC FIFO. The engine feeds it only while
+  /// it has headroom (the retransmit ring is the send buffer), so it
+  /// bounds the transmissions in flight on the uplink, never drops them.
+  int queueCapacity = 128;
   double lossProbability = 0.0;     ///< i.i.d. per-transmission loss
   GilbertElliottOptions burst;      ///< bursty-loss chain (off by default)
   std::vector<LossBurstWindow> lossBursts;  ///< scheduled extra loss
 
   // Recovery.
   int reorderWindow = 1024;         ///< out-of-order/dup window (packets)
-  std::int64_t retransmitBuffer = 4096;  ///< per-node resendable ring
+  /// Per-node retransmit ring: the resendable window and the send buffer
+  /// originals are forwarded from.
+  std::int64_t retransmitBuffer = 4096;
   /// Optional per-node retransmit ring capacities (size must equal the
   /// tree size); empty = `retransmitBuffer` everywhere. Heterogeneous
   /// rings are what makes the recursive eviction-miss refetch path
@@ -151,7 +170,9 @@ struct DataplaneResult {
   std::int64_t deliveries = 0;        ///< exactly-once deliveries (all nodes)
   std::int64_t duplicatesSuppressed = 0;
   std::int64_t reorderDrops = 0;      ///< arrivals beyond the reorder window
-  std::int64_t queueDrops = 0;        ///< uplink tail-drops
+  /// Uplink tail-drops: zero by construction (the engine never overfills
+  /// a NIC FIFO); kept so existing readers of the counter still work.
+  std::int64_t queueDrops = 0;
   std::int64_t linkLosses = 0;        ///< in-flight data losses
   std::int64_t crashAborts = 0;       ///< sends killed by the sender crashing
 
@@ -170,7 +191,7 @@ struct DataplaneResult {
   // Bounded-memory accounting.
   std::int64_t peakReorderBuffered = 0;   ///< max parked out-of-order packets
   std::int64_t peakRetransmitHeld = 0;    ///< max ring occupancy (<= capacity)
-  std::int64_t peakQueueDepth = 0;        ///< max uplink FIFO depth
+  std::int64_t peakQueueDepth = 0;        ///< max NIC FIFO depth (<= capacity)
   std::int64_t peakPendingServes = 0;     ///< max outstanding refetch entries
 
   // Outcome.

@@ -98,4 +98,11 @@ int UplinkQueue::occupancy(double now) {
   return static_cast<int>(count_);
 }
 
+double UplinkQueue::drainedTo(int jobs) const {
+  OMT_CHECK(jobs >= 0 && static_cast<std::uint32_t>(jobs) < count_,
+            "drain target must be below the queue's occupancy");
+  const std::uint32_t k = count_ - static_cast<std::uint32_t>(jobs) - 1;
+  return departures_[(head_ + k) % static_cast<std::uint32_t>(capacity_)];
+}
+
 }  // namespace omt

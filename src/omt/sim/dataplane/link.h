@@ -3,7 +3,9 @@
 // Every overlay edge is a unicast path with three failure surfaces:
 //   * finite bandwidth — the sender's uplink serializes one packet per
 //     child per `serializationTime`; sends that arrive while the uplink is
-//     busy wait in a bounded FIFO and are tail-dropped when it overflows;
+//     busy wait in a bounded FIFO (the NIC queue) and are tail-dropped when
+//     it overflows. The engine feeds it only while it has headroom, so it
+//     never tail-drops there; the drop path is exercised by its unit test;
 //   * independent loss — each transmission is dropped i.i.d. with a base
 //     probability (plus any active loss-burst window's boost);
 //   * bursty loss — a two-state Gilbert–Elliott chain per uplink: the
@@ -94,6 +96,10 @@ class UplinkQueue {
 
   /// Jobs queued or in service at time `now`.
   int occupancy(double now);
+
+  /// The time at which only `jobs` of the currently held jobs remain
+  /// queued or in service. Requires `jobs` below the current occupancy.
+  double drainedTo(int jobs) const;
 
   int capacity() const { return capacity_; }
   std::int64_t drops() const { return drops_; }

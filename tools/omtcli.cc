@@ -499,6 +499,12 @@ int cmdDataplane(const Flags& flags) {
                 TextTable::count(result.duplicatesSuppressed)});
   table.addRow({"NACKs sent", TextTable::count(result.nacksSent)});
   table.addRow({"retransmits", TextTable::count(result.retransmits)});
+  table.addRow({"retransmits per link loss",
+                result.linkLosses > 0
+                    ? TextTable::num(static_cast<double>(result.retransmits) /
+                                         static_cast<double>(result.linkLosses),
+                                     3)
+                    : std::string("-")});
   table.addRow({"eviction misses", TextTable::count(result.evictionMisses)});
   table.addRow({"refetches", TextTable::count(result.refetches)});
   table.addRow({"crashed nodes", TextTable::count(result.crashedNodes)});
