@@ -102,6 +102,19 @@ struct Resend {
   std::uint64_t seq = 0;
 };
 
+/// A range a node asked its parent for (a gap NACK or a refetch), and when.
+struct AskedRange {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;  ///< exclusive
+  double at = 0.0;
+  bool refetch = false;  ///< below the asker's delivery head
+};
+
+/// Refetched copies a relay keeps: enough for a child's retry to be served
+/// from the relay, so a copy lost on its last hop does not send the retry
+/// up the whole refetch chain again.
+constexpr std::size_t kRelayCopies = 64;
+
 struct NodeState {
   NodeId parent = kNoNode;
   std::vector<NodeId> children;
@@ -142,6 +155,16 @@ struct NodeState {
 
   std::int64_t delivered = 0;
   std::uint64_t logHash = kFnvOffset;
+
+  // Repair bookkeeping, touched only around holes: kept last so the
+  // fields every delivery touches stay on the same cache lines.
+  /// Ranges asked of the parent within their retry hold, sorted by `lo`
+  /// and disjoint; expired ones are pruned, so it is O(open holes).
+  std::vector<AskedRange> asked;
+  /// Refetched copies relayed to children: a ring of kRelayCopies
+  /// sequences, allocated on first use.
+  std::vector<std::uint64_t> relayed;
+  std::size_t relayedNext = 0;  ///< ring slot the next copy overwrites
 };
 
 class Engine {
@@ -216,6 +239,77 @@ class Engine {
     for (const NodeId child : it->second) n.resend.push_back({child, seq});
     n.pendingServes.erase(it);
     return true;
+  }
+
+  /// Keep a refetched copy this node relays, so a child's retry for it is served
+  /// here (the ring of kRelayCopies overwrites its oldest copy).
+  static void keepRelayed(NodeState& n, std::uint64_t seq) {
+    if (relayHolds(n, seq)) return;
+    if (n.relayed.size() < kRelayCopies) {
+      n.relayed.push_back(seq);
+      return;
+    }
+    n.relayed[n.relayedNext] = seq;
+    n.relayedNext = (n.relayedNext + 1) % kRelayCopies;
+  }
+
+  static bool relayHolds(const NodeState& n, std::uint64_t seq) {
+    return std::find(n.relayed.begin(), n.relayed.end(), seq) !=
+           n.relayed.end();
+  }
+
+  bool parentLive(const NodeState& n) const {
+    return n.parent != kNoNode &&
+           !nodes_[static_cast<std::size_t>(n.parent)].crashed;
+  }
+
+  /// Forget asks whose retry hold (the one-RTT initial NACK spacing) has
+  /// passed, and gap asks the delivery head has overtaken (trimmed to it),
+  /// so `asked` holds only ranges that are still both missing and inside
+  /// their hold. A hold ends strictly after one spacing: a timer armed
+  /// when a range was asked fires exactly then, and would otherwise re-ask
+  /// before a repair sent over an idle uplink has landed.
+  void pruneAsked(NodeState& n, double now) {
+    const double hold = n.nack.initial();
+    std::size_t kept = 0;
+    for (AskedRange r : n.asked) {
+      if (!r.refetch) r.lo = std::max(r.lo, n.nextExpected);
+      if (now <= r.at + hold && r.lo < r.hi) n.asked[kept++] = r;
+    }
+    n.asked.resize(kept);
+  }
+
+  /// Ask `v`'s live parent for the parts of [lo, hi) not already asked
+  /// within their retry hold: one NACK per uncovered piece, each recorded
+  /// in `asked` and counted as a gap NACK or a refetch. Returns whether
+  /// anything was sent. Call pruneAsked first.
+  bool ask(NodeId v, std::uint64_t lo, std::uint64_t hi, double now,
+           bool refetch) {
+    NodeState& n = nodes_[static_cast<std::size_t>(v)];
+    auto it = std::partition_point(
+        n.asked.begin(), n.asked.end(),
+        [lo](const AskedRange& r) { return r.hi <= lo; });
+    bool sent = false;
+    while (lo < hi) {
+      if (it != n.asked.end() && it->lo <= lo) {  // inside a hold
+        lo = it->hi;
+        ++it;
+        continue;
+      }
+      const std::uint64_t end =
+          it == n.asked.end() ? hi : std::min(hi, it->lo);
+      if (refetch) {
+        ++result_.refetches;
+      } else {
+        ++result_.nacksSent;
+      }
+      sendControl(v, n.parent, Event::kNack, now, wireSeq(lo),
+                  static_cast<std::uint32_t>(end - lo));
+      it = n.asked.insert(it, AskedRange{lo, end, now, refetch}) + 1;
+      sent = true;
+      lo = end;
+    }
+    return sent;
   }
 
   static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
@@ -301,9 +395,9 @@ class Engine {
     sendControl(v, n.parent, Event::kComplete, now);
   }
 
-  /// (Re-)derive the node's NACK pacing from its current parent: the
-  /// initial spacing is at least one parent round trip, so a gap is never
-  /// re-NACKed before the repair could possibly have arrived.
+  /// (Re-)derive the node's NACK pacing from its current parent: the retry
+  /// hold is at least one parent round trip, so a gap is never re-NACKed
+  /// before the repair could possibly have arrived.
   void resetNackPacing(NodeId v) {
     NodeState& n = nodes_[static_cast<std::size_t>(v)];
     double rtt = 0.0;
@@ -341,6 +435,8 @@ class Engine {
     n.logHash = fnvMix(n.logHash, seq);
     n.nack.reset();  // progress: restart the gap backoff ladder
     n.ring.insert();
+    result_.longestDeliveryGap =
+        std::max(result_.longestDeliveryGap, now - lastProgress_);
     lastProgress_ = now;
     if (v != tree_.root()) {
       const double latency =
@@ -348,8 +444,10 @@ class Engine {
       result_.deliveryLatency.observe(latency);
       if (obsOn_) Metrics::get().latency.observe(latency);
     }
-    if (o_.recordDeliveries)
+    if (o_.recordDeliveries) {
       result_.deliveryLog[static_cast<std::size_t>(v)].push_back(seq);
+      result_.deliveryTimes[static_cast<std::size_t>(v)].push_back(now);
+    }
     servePending(v, seq);
     pump(v, now);
     if (n.delivered == o_.packetCount) {
@@ -388,8 +486,11 @@ class Engine {
     n.wantUpTo = std::max(n.wantUpTo, u + 1);
     if (u < n.nextExpected) {
       ++result_.duplicatesSuppressed;
-      // Refetched copy: relay onward.
-      if (servePending(ev.node, u)) pump(ev.node, ev.time);
+      // Refetched copy: relay onward, and keep it for the child's retry.
+      if (servePending(ev.node, u)) {
+        keepRelayed(n, u);
+        pump(ev.node, ev.time);
+      }
       return;
     }
     if (u >= n.nextExpected +
@@ -398,6 +499,19 @@ class Engine {
       ++result_.reorderDrops;
       armNack(ev.node, ev.time);
       return;
+    }
+    if (u > n.highestSeen && ev.peer == n.parent) {
+      // Gap detection: the parent sends originals in order and a repair
+      // only behind the originals it covers, so an arrival above the
+      // high-water mark proves everything between lost. NACK it now; the
+      // NACK timer paces only the retries. (highestSeen == nextExpected
+      // means nothing above the head has been seen yet.)
+      const std::uint64_t lo =
+          n.highestSeen > n.nextExpected ? n.highestSeen + 1 : n.nextExpected;
+      if (lo < u && parentLive(n)) {
+        pruneAsked(n, ev.time);
+        ask(ev.node, lo, u, ev.time, /*refetch=*/false);
+      }
     }
     n.highestSeen = std::max(n.highestSeen, u);
     if (u == n.nextExpected) {
@@ -426,10 +540,11 @@ class Engine {
     NodeState& n = nodes_[static_cast<std::size_t>(ev.node)];
     n.nackArmed = false;
     if (n.crashed) return;
-    const bool parentLive =
-        n.parent != kNoNode &&
-        !nodes_[static_cast<std::size_t>(n.parent)].crashed;
-    // Gap scan: one NACK per contiguous missing range in the window.
+    const bool live = parentLive(n);
+    pruneAsked(n, ev.time);
+    // Gap scan: one NACK per contiguous missing range in the window that
+    // was not already asked within the current retry hold (a hole's first
+    // NACK left when onData detected it, so this paces the retries).
     // While new data is still flowing (an arrival advanced the high-water
     // mark since the timer was armed), only holes below the highest
     // arrival are evidence of loss — originals traverse the link in order,
@@ -440,6 +555,7 @@ class Engine {
     // covered since the timer was armed, the advertised head becomes the
     // evidence — that is the tail-loss probe.
     bool outstanding = false;
+    bool sent = false;
     const bool flowing = n.lastArrival > n.nackArmTime;
     const std::uint64_t evidence =
         flowing ? std::min(n.wantUpTo, n.highestSeen + 1) : n.wantUpTo;
@@ -456,28 +572,23 @@ class Engine {
       std::uint64_t hi = seq + 1;
       while (hi < scanEnd && !n.window.test(hi)) ++hi;
       outstanding = true;
-      if (parentLive) {
-        ++result_.nacksSent;
-        sendControl(ev.node, n.parent, Event::kNack, ev.time, wireSeq(seq),
-                    static_cast<std::uint32_t>(hi - seq));
-      }
+      if (live) sent |= ask(ev.node, seq, hi, ev.time, /*refetch=*/false);
       seq = hi;
     }
     // Upward refetches for sequences children want but we evicted.
     for (const auto& [missing, requesters] : n.pendingServes) {
       (void)requesters;
       outstanding = true;
-      if (parentLive) {
-        ++result_.refetches;
-        sendControl(ev.node, n.parent, Event::kNack, ev.time,
-                    wireSeq(missing), 1);
-      }
+      if (live)
+        sent |= ask(ev.node, missing, missing + 1, ev.time, /*refetch=*/true);
     }
     if (!outstanding) {
       n.nack.reset();
       return;  // nothing missing: the timer goes quiet until a new gap
     }
-    n.nack.advance();
+    // A firing whose every range was still inside its hold sent no retry:
+    // the backoff ladder steps only when one left (or the parent is dead).
+    if (sent || !live) n.nack.advance();
     armNack(ev.node, ev.time);
   }
 
@@ -498,14 +609,13 @@ class Engine {
       // Not yet forwarded to this child (the cursor never passes the
       // delivery head, so this covers "not delivered here yet"): will flow.
       if (u >= n.cursor[ci]) break;
-      if (n.ring.holds(u)) {
+      if (n.ring.holds(u) || relayHolds(n, u)) {
         n.resend.push_back({ev.peer, u});
         queued = true;
         continue;
       }
       ++result_.evictionMisses;
       auto& requesters = n.pendingServes[u];
-      const bool fresh = requesters.empty();
       if (std::find(requesters.begin(), requesters.end(), ev.peer) ==
           requesters.end())
         requesters.push_back(ev.peer);
@@ -513,13 +623,12 @@ class Engine {
           result_.peakPendingServes,
           static_cast<std::int64_t>(n.pendingServes.size()));
       registered = true;
-      // Fire the first upward refetch immediately — waiting out a backoff
-      // spacing at every level of the chain compounds into seconds of
-      // repair latency. The NACK timer only carries the retries.
-      if (fresh && n.parent != kNoNode &&
-          !nodes_[static_cast<std::size_t>(n.parent)].crashed) {
-        ++result_.refetches;
-        sendControl(ev.node, n.parent, Event::kNack, ev.time, wireSeq(u), 1);
+      // Refetch upward at once — waiting out a backoff spacing at every
+      // level of the chain compounds into seconds of repair latency. A
+      // child's retry re-asks once the last ask's hold has passed.
+      if (parentLive(n)) {
+        pruneAsked(n, ev.time);
+        ask(ev.node, u, u + 1, ev.time, /*refetch=*/true);
       }
     }
     if (registered) armNack(ev.node, ev.time);  // pace the refetch retries
@@ -580,6 +689,8 @@ class Engine {
     n.crashTime = ev.time;
     ++result_.crashedNodes;
     n.pendingServes.clear();
+    n.relayed.clear();
+    n.asked.clear();
     n.resend.clear();
     n.resendHead = 0;
     // The live parent stops forwarding to (and probing) the dead child —
@@ -668,6 +779,7 @@ class Engine {
     np.cursor.push_back(np.nextExpected);  // from the head; older by NACK
     ++result_.rehomedChildren;
     resetNackPacing(ev.node);  // fresh parent: re-derive the repair pacing
+    c.asked.clear();           // and ask it for everything still missing
     if (c.wantUpTo > c.nextExpected) armNack(ev.node, ev.time);
     // The new parent advertises its head right away (lossy; its sync timer
     // covers retries) so the child can resynchronize from the ring.
@@ -812,8 +924,10 @@ DataplaneResult Engine::run() {
             : o_.retransmitBufferPerNode[static_cast<std::size_t>(v)];
     n.ring = RetransmitWindow(ringCapacity, base_);
   }
-  if (o_.recordDeliveries)
+  if (o_.recordDeliveries) {
     result_.deliveryLog.resize(static_cast<std::size_t>(tree_.size()));
+    result_.deliveryTimes.resize(static_cast<std::size_t>(tree_.size()));
+  }
 
   for (const CrashEvent& c : o_.crashes)
     schedule(c.time, Event::kCrash, c.node);

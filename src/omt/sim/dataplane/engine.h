@@ -8,11 +8,22 @@
 // (i.i.d. plus Gilbert–Elliott bursts plus scheduled loss-burst windows)
 // and arrives after propagation delay = geometric distance. Receivers run
 // the recovery machinery in recovery.h: 32-bit wire sequences with explicit
-// wraparound, a bounded reorder/dup-suppression window, gap-detection NACKs
-// under capped exponential backoff, and parent-side bounded retransmit
-// rings with eviction accounting. Idle parents advertise their delivery
-// head with periodic SYNC probes (Trickle-style), which closes the
-// tail-loss hole and resynchronizes re-homed children.
+// wraparound, a bounded reorder/dup-suppression window, gap-detection NACKs,
+// and parent-side bounded retransmit rings with eviction accounting. Idle
+// parents advertise their delivery head with periodic SYNC probes
+// (Trickle-style), which closes the tail-loss hole and resynchronizes
+// re-homed children.
+//
+// Repair takes one round trip. A parent sends originals in order and a
+// repair copy only behind the originals it covers, so an arrival from the
+// parent above a receiver's high-water mark proves every sequence between
+// lost: the receiver NACKs that range the moment it sees it. The NACK timer
+// only paces retries, per hole: each node records the ranges it asked of
+// its parent (gap NACKs and refetches alike) and asks again only once a
+// range's retry hold — one parent round trip, floored by `nackDelay` — has
+// passed; the timer itself backs off exponentially while nothing is
+// delivered. The record holds only ranges inside their hold, so it is
+// O(open holes).
 //
 // Forwarding is pull-based: the retransmit ring is the send buffer and the
 // uplink FIFO is only the NIC queue. Each (parent, child) edge keeps a
@@ -35,9 +46,12 @@
 // forwarding state is dropped; the new parent's cursor for a re-homed
 // child starts at its own delivery head. A NACK for a
 // sequence the parent has already evicted is an *eviction miss*: the parent
-// refetches it from its own parent (recursive repair, paced by the same
-// NACK timer), so bounded buffers stay bounded and recovery still converges
-// whenever the fault schedule leaves a feasible path.
+// refetches it from its own parent at once (recursive repair; a child's
+// retry re-asks once the refetch's hold has passed), so bounded buffers
+// stay bounded and recovery still converges whenever the fault schedule
+// leaves a feasible path. A node that relays a refetched copy keeps it in
+// a small ring (64 copies), so a child whose relayed copy was lost on the
+// last hop is served from there rather than by a second walk up the chain.
 //
 // Determinism contract: the engine is strictly single-threaded and all
 // randomness flows from one seeded RNG consumed in event order; events are
@@ -98,14 +112,16 @@ struct DataplaneOptions {
   /// load-bearing: a small ring's misses are refetched from
   /// better-provisioned ancestors (the root should hold the whole stream).
   std::vector<std::int64_t> retransmitBufferPerNode;
-  /// Floor on the gap -> first-NACK wait. The effective initial spacing is
+  /// Floor on the retry spacing. A hole's first NACK leaves when the hole
+  /// is detected; a range is asked again only after its retry hold of
   /// max(nackDelay, one parent round trip), re-derived when a node
   /// re-homes — re-NACKing the same gap faster than the repair can
-  /// possibly arrive is exactly the storm the backoff exists to prevent.
+  /// possibly arrive is exactly the storm the pacing exists to prevent.
+  /// The NACK timer starts at the same spacing.
   double nackDelay = 1e-3;
-  double nackBackoffFactor = 2.0;   ///< NACK spacing multiplier
-  /// Ceiling on the NACK spacing (raised to one backoff step above the
-  /// effective initial spacing if that is larger).
+  double nackBackoffFactor = 2.0;   ///< NACK timer spacing multiplier
+  /// Ceiling on the NACK timer spacing (raised to one backoff step above
+  /// the retry hold if that is larger).
   double nackBackoffCap = 64e-3;
   double syncInterval = 20e-3;      ///< head-advertisement period
   /// Loss probability for control messages (NACK/SYNC/COMPLETE); loss-burst
@@ -202,10 +218,17 @@ struct DataplaneResult {
   bool completed = false;             ///< every live receiver got everything
   bool stalled = false;               ///< stall detector fired
   LatencyHistogram deliveryLatency;   ///< per-delivery emit -> deliver time
+  /// Longest span of simulated time between two consecutive deliveries
+  /// anywhere in the tree (from t = 0): how long the whole session stood
+  /// still waiting on repair. A run that completes exactly-once but melts
+  /// down on the way shows up here.
+  double longestDeliveryGap = 0.0;
   std::uint64_t deliveryLogHash = 0;  ///< order-sensitive over all nodes
   std::vector<NodeReport> nodes;
   /// Per-node delivered sequences, only when options.recordDeliveries.
   std::vector<std::vector<std::uint64_t>> deliveryLog;
+  /// Simulated delivery times, parallel to deliveryLog (same condition).
+  std::vector<std::vector<double>> deliveryTimes;
 };
 
 /// Run one data-plane session over `tree` (finalized, one point per node).

@@ -10,10 +10,13 @@
 //     dropped and recovered later, so receiver memory stays bounded;
 //   * anything at or below the delivery head, or already parked, is a
 //     duplicate and is suppressed;
-//   * missing ranges are NACKed to the parent under a capped exponential
-//     backoff with at most one outstanding NACK per gap per firing — the
-//     storm suppression that keeps a lossy uplink from drowning in repair
-//     chatter. Progress (a delivery-head advance) resets the backoff.
+//   * a missing range is NACKed to the parent the moment an arrival above
+//     the high-water mark proves it lost; a retry for it goes only once its
+//     hold (one parent round trip, NackBackoff::initial()) has passed, on a
+//     NACK timer whose spacing backs off exponentially while the delivery
+//     head stands still and resets when it advances — the storm
+//     suppression that keeps a lossy uplink from drowning in repair
+//     chatter.
 // The sender side holds a *virtual* retransmit ring: a node that has
 // delivered sequences [base, head) can retransmit the most recent
 // `capacity` of them. Payloads don't exist in the simulation, so the ring
@@ -72,14 +75,17 @@ class ReorderWindow {
   std::vector<std::uint64_t> bits_;
 };
 
-/// Capped exponential NACK pacing. `current()` is the wait before the next
-/// NACK for any open gap; every firing advances it by `factor` up to `cap`,
-/// and any delivery-head progress resets it to `initial`.
+/// Capped exponential NACK timer pacing. `current()` is the wait before the
+/// timer's next firing; `advance()` (the engine calls it after a firing
+/// that sent a retry) multiplies it by `factor` up to `cap`, and `reset()`
+/// (on delivery-head progress) returns it to `initial()`, which is also
+/// each range's retry hold.
 class NackBackoff {
  public:
   NackBackoff() = default;
   NackBackoff(double initial, double factor, double cap);
 
+  double initial() const { return initial_; }
   double current() const { return current_; }
   void advance();
   void reset() { current_ = initial_; }

@@ -510,6 +510,8 @@ int cmdDataplane(const Flags& flags) {
   table.addRow({"crashed nodes", TextTable::count(result.crashedNodes)});
   table.addRow({"re-homed children",
                 TextTable::count(result.rehomedChildren)});
+  table.addRow({"longest delivery gap s",
+                TextTable::num(result.longestDeliveryGap, 3)});
   table.addRow({"events processed",
                 TextTable::count(result.eventsProcessed)});
   table.addRow({"sim end time s", TextTable::num(result.simEndTime, 3)});
